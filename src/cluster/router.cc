@@ -25,6 +25,25 @@ std::string DescribeScan(const ScanRequest& request) {
          " scan(" + request.predicate_column + ")";
 }
 
+/// One fetch attempt on a leased shard client; the answer stays in its
+/// checked wire encoding so the router relays it without a re-encode.
+/// With a trace id the request carries a fresh span of that trace (a
+/// retried or hedged attempt's child is then distinguishable), and the
+/// shard's child trace comes back in `child`. The context is cleared
+/// before the lease returns to the pool: pooled clients are reused for
+/// untraced traffic.
+Result<std::string> FetchAttempt(net::Client* client,
+                                 const FetchRequest& request,
+                                 std::optional<uint64_t> trace_id,
+                                 std::optional<obs::QueryTrace>* child) {
+  if (!trace_id.has_value()) return client->FetchPayload(request);
+  client->SetTraceContext({*trace_id, obs::NewTraceId(), true});
+  Result<std::string> payload = client->FetchPayload(request);
+  *child = client->TakeLastTrace();
+  client->ClearTraceContext();
+  return payload;
+}
+
 }  // namespace
 
 Router::Router(ShardMap map, RouterOptions options)
@@ -167,64 +186,12 @@ Result<T> Router::Forward(size_t shard_index, const ShardCall<T>& call) {
   return DegradedShard(shard_index, "forward failed (" + last.message() + ")");
 }
 
-Result<FetchResult> Router::ForwardFetch(size_t shard_index,
-                                         const FetchRequest& request) {
-  if (options_.hedge_delay_sec <= 0) {
-    return Forward<FetchResult>(shard_index, [&request](net::Client* client) {
-      return client->Fetch(request);
-    });
-  }
-  if (!ShardUp(shard_index)) {
-    return DegradedShard(shard_index, "request not forwarded");
-  }
-  // Hedged: primary on a detached thread; if it has not answered after
-  // hedge_delay, a duplicate runs on a second pooled connection and the
-  // first answer wins. The loser finishes on its own and only touches
-  // shared_ptr state, so nothing here waits for it.
-  struct HedgeState {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::optional<Result<FetchResult>> result;
-    int launched = 0;
-  };
-  auto state = std::make_shared<HedgeState>();
-  auto attempt = [state, pool = pool_, shard_index, request,
-                  hedge_wins = hedge_wins_](bool is_hedge) {
-    ShardClientPool::Lease lease = pool->Checkout(shard_index);
-    Result<FetchResult> r = lease->Fetch(request);
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (!state->result.has_value()) {
-      if (is_hedge) hedge_wins->Increment();
-      state->result.emplace(std::move(r));
-      state->cv.notify_all();
-    }
-  };
-  std::thread([attempt] { attempt(false); }).detach();
-  std::unique_lock<std::mutex> lock(state->mutex);
-  const bool primary_done = state->cv.wait_for(
-      lock, std::chrono::duration<double>(options_.hedge_delay_sec),
-      [&state] { return state->result.has_value(); });
-  if (!primary_done) {
-    hedges_->Increment();
-    std::thread([attempt] { attempt(true); }).detach();
-  }
-  state->cv.wait(lock, [&state] { return state->result.has_value(); });
-  Result<FetchResult> result = std::move(*state->result);
-  lock.unlock();
-  if (result.ok()) return result;
-  const Status st = result.status();
-  if (st.code() == StatusCode::kUnavailable && !wire::IsDegraded(st)) {
-    MarkShard(shard_index, false);
-    return DegradedShard(shard_index, "forward failed (" + st.message() + ")");
-  }
-  return st;
-}
-
-Result<FetchResult> Router::ForwardTracedFetch(size_t shard_index,
-                                               const FetchRequest& request,
-                                               obs::QueryTrace* root) {
+Result<std::string> Router::ForwardFetch(size_t shard_index,
+                                         const FetchRequest& request,
+                                         obs::QueryTrace* root) {
   const std::string label = ShardLabel(map_.shards()[shard_index]);
-  const uint64_t trace_id = root->trace_id;
+  std::optional<uint64_t> trace_id;
+  if (root != nullptr) trace_id = root->trace_id;
   auto graft = [root, &label](std::optional<obs::QueryTrace> child) {
     if (!child.has_value()) return;
     if (child->node.empty()) child->node = label;
@@ -233,37 +200,33 @@ Result<FetchResult> Router::ForwardTracedFetch(size_t shard_index,
 
   if (options_.hedge_delay_sec <= 0) {
     std::optional<obs::QueryTrace> child;
-    const double start = root->Elapsed();
-    Result<FetchResult> result = Forward<FetchResult>(
-        shard_index, [&request, &child, trace_id](net::Client* client) {
-          // Fresh span id per attempt, so a retried forward's child trace
-          // is distinguishable from the first try's. The context must be
-          // cleared before the lease returns to the pool: pooled clients
-          // are reused for un-traced traffic.
-          client->SetTraceContext({trace_id, obs::NewTraceId(), true});
-          Result<FetchResult> r = client->Fetch(request);
-          child = client->TakeLastTrace();
-          client->ClearTraceContext();
-          return r;
+    const double start = root != nullptr ? root->Elapsed() : 0;
+    Result<std::string> result = Forward<std::string>(
+        shard_index, [&request, trace_id, &child](net::Client* client) {
+          return FetchAttempt(client, request, trace_id, &child);
         });
-    root->AddEvent("forward " + label, 0, start, root->Elapsed() - start, 0);
-    graft(std::move(child));
+    if (root != nullptr) {
+      root->AddEvent("forward " + label, 0, start, root->Elapsed() - start,
+                     0);
+      graft(std::move(child));
+    }
     return result;
   }
 
   if (!ShardUp(shard_index)) {
     return DegradedShard(shard_index, "request not forwarded");
   }
-  // The hedged twin of ForwardFetch: both attempts carry the trace
-  // context, the first answer wins, and only the winner's child trace is
-  // grafted (the loser finishes on its own and its trace dies with it —
-  // we cannot wait for a response we hedged away from). The root gets
-  // one attempt span per launch, winner tagged, so hedge wins are
-  // visible in the assembled tree.
+  // Hedged: primary on a detached thread; if it has not answered after
+  // hedge_delay, a duplicate runs on a second pooled connection and the
+  // first answer wins. The loser finishes on its own and only touches
+  // shared_ptr state, so nothing here waits for it (nor for its child
+  // trace, which dies with it). Under a trace the root gets one attempt
+  // span per launch, winner tagged, so hedge wins are visible in the
+  // assembled tree.
   struct HedgeState {
     std::mutex mutex;
     std::condition_variable cv;
-    std::optional<Result<FetchResult>> result;
+    std::optional<Result<std::string>> result;
     std::optional<obs::QueryTrace> child;
     bool hedge_won = false;
   };
@@ -271,10 +234,9 @@ Result<FetchResult> Router::ForwardTracedFetch(size_t shard_index,
   auto attempt = [state, pool = pool_, shard_index, request, trace_id,
                   hedge_wins = hedge_wins_](bool is_hedge) {
     ShardClientPool::Lease lease = pool->Checkout(shard_index);
-    lease->SetTraceContext({trace_id, obs::NewTraceId(), true});
-    Result<FetchResult> r = lease->Fetch(request);
-    std::optional<obs::QueryTrace> child = lease->TakeLastTrace();
-    lease->ClearTraceContext();
+    std::optional<obs::QueryTrace> child;
+    Result<std::string> r =
+        FetchAttempt(lease.get(), request, trace_id, &child);
     std::lock_guard<std::mutex> lock(state->mutex);
     if (!state->result.has_value()) {
       if (is_hedge) hedge_wins->Increment();
@@ -284,7 +246,7 @@ Result<FetchResult> Router::ForwardTracedFetch(size_t shard_index,
       state->cv.notify_all();
     }
   };
-  const double primary_start = root->Elapsed();
+  const double primary_start = root != nullptr ? root->Elapsed() : 0;
   double hedge_start = 0;
   bool hedged = false;
   std::thread([attempt] { attempt(false); }).detach();
@@ -295,25 +257,27 @@ Result<FetchResult> Router::ForwardTracedFetch(size_t shard_index,
   if (!primary_done) {
     hedges_->Increment();
     hedged = true;
-    hedge_start = root->Elapsed();
+    if (root != nullptr) hedge_start = root->Elapsed();
     std::thread([attempt] { attempt(true); }).detach();
   }
   state->cv.wait(lock, [&state] { return state->result.has_value(); });
-  Result<FetchResult> result = std::move(*state->result);
+  Result<std::string> result = std::move(*state->result);
   std::optional<obs::QueryTrace> child = std::move(state->child);
   const bool hedge_won = state->hedge_won;
   lock.unlock();
 
-  const double settled = root->Elapsed();
-  root->AddEvent(
-      std::string("attempt primary ") + label + (hedge_won ? "" : " (won)"),
-      0, primary_start, settled - primary_start, 0);
-  if (hedged) {
+  if (root != nullptr) {
+    const double settled = root->Elapsed();
     root->AddEvent(
-        std::string("attempt hedge ") + label + (hedge_won ? " (won)" : ""),
-        0, hedge_start, settled - hedge_start, 0);
+        std::string("attempt primary ") + label + (hedge_won ? "" : " (won)"),
+        0, primary_start, settled - primary_start, 0);
+    if (hedged) {
+      root->AddEvent(
+          std::string("attempt hedge ") + label + (hedge_won ? " (won)" : ""),
+          0, hedge_start, settled - hedge_start, 0);
+    }
+    graft(std::move(child));
   }
-  graft(std::move(child));
   if (result.ok()) return result;
   const Status st = result.status();
   if (st.code() == StatusCode::kUnavailable && !wire::IsDegraded(st)) {
@@ -328,12 +292,12 @@ void Router::HandleFetch(FetchRequest request, net::Responder respond) {
   const auto start = std::chrono::steady_clock::now();
   const size_t owner =
       map_.OwnerIndex(ShardMap::PartitionKey(request.project, request.model));
-  Result<FetchResult> result = ForwardFetch(owner, request);
-  if (!result.ok()) {
-    respond(wire::MsgType::kErrorResp, wire::EncodeError(result.status()));
+  Result<std::string> payload = ForwardFetch(owner, request, nullptr);
+  if (!payload.ok()) {
+    respond(wire::MsgType::kErrorResp, wire::EncodeError(payload.status()));
     return;
   }
-  respond(wire::MsgType::kFetchResp, wire::EncodeFetchResult(*result));
+  respond(wire::MsgType::kFetchResp, std::move(*payload));
   // Unsampled traffic still feeds the slow-query log: a spanless
   // decision record (spans cannot be reconstructed after the fact).
   const double total = std::chrono::duration<double>(
@@ -360,24 +324,23 @@ void Router::HandleTracedFetch(FetchRequest request, wire::TraceContext ctx,
   root.strategy = "forward";
   const size_t owner =
       map_.OwnerIndex(ShardMap::PartitionKey(request.project, request.model));
-  Result<FetchResult> result = ForwardTracedFetch(owner, request, &root);
+  Result<std::string> payload = ForwardFetch(owner, request, &root);
   root.total_sec = root.Elapsed();
-  if (!result.ok()) {
+  if (!payload.ok()) {
     // The failed tree is still worth retaining — a degraded forward in
     // the flight recorder explains itself better than a counter. Errors
     // answer bare (not enveloped) like the shard side does; the client's
     // unwrap path treats kErrorResp uniformly.
     recorder_->Record(root);
-    respond(wire::MsgType::kErrorResp, wire::EncodeError(result.status()));
+    respond(wire::MsgType::kErrorResp, wire::EncodeError(payload.status()));
     return;
   }
   if (enveloped) {
     respond(wire::MsgType::kTracedResp,
-            wire::EncodeTracedResponse(wire::MsgType::kFetchResp,
-                                       wire::EncodeFetchResult(*result),
+            wire::EncodeTracedResponse(wire::MsgType::kFetchResp, *payload,
                                        &root));
   } else {
-    respond(wire::MsgType::kFetchResp, wire::EncodeFetchResult(*result));
+    respond(wire::MsgType::kFetchResp, std::move(*payload));
   }
   recorder_->Record(std::move(root));
 }

@@ -136,16 +136,15 @@ class Router : public net::FrameHandler {
   /// kUnavailable and converts the failure to the typed degraded error.
   template <typename T>
   Result<T> Forward(size_t shard_index, const ShardCall<T>& call);
-  /// Forward with optional tail-latency hedging (fetch/trace path).
-  Result<FetchResult> ForwardFetch(size_t shard_index,
-                                   const FetchRequest& request);
-  /// ForwardFetch under a trace: every attempt propagates the trace
-  /// context to its shard, attempt spans (primary + hedge, winner
-  /// tagged) land in `root`, and the winning shard's child trace is
-  /// grafted under it.
-  Result<FetchResult> ForwardTracedFetch(size_t shard_index,
-                                         const FetchRequest& request,
-                                         obs::QueryTrace* root);
+  /// Forward with optional tail-latency hedging (fetch path). Returns
+  /// the owner shard's kFetchResp payload, checked but not decoded, for
+  /// the caller to relay byte for byte. With a non-null `root`, every
+  /// attempt propagates the trace context to its shard, attempt spans
+  /// (one "forward" span, or primary + hedge with the winner tagged) land
+  /// in `root`, and the winning shard's child trace is grafted under it.
+  Result<std::string> ForwardFetch(size_t shard_index,
+                                   const FetchRequest& request,
+                                   obs::QueryTrace* root);
   /// The scatter-gather scan shared by the plain and traced paths. With
   /// a non-null `root`, every scattered shard call carries the trace
   /// context and contributes one child trace (shards that answered

@@ -67,7 +67,7 @@ class ByteReader {
   Status GetString(std::string* s) {
     uint32_t n = 0;
     MISTIQUE_RETURN_NOT_OK(GetU32(&n));
-    if (pos_ + n > len_) return Truncated();
+    if (n > remaining()) return Truncated();
     s->assign(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return Status::OK();
@@ -76,14 +76,16 @@ class ByteReader {
   Status GetBlob(std::vector<uint8_t>* b) {
     uint64_t n = 0;
     MISTIQUE_RETURN_NOT_OK(GetU64(&n));
-    if (pos_ + n > len_) return Truncated();
+    if (n > remaining()) return Truncated();
     b->assign(data_ + pos_, data_ + pos_ + n);
     pos_ += n;
     return Status::OK();
   }
 
+  /// `out` may be null when `n` is 0 (an empty vector's data()).
   Status GetRaw(void* out, size_t n) {
-    if (pos_ + n > len_) return Truncated();
+    if (n > remaining()) return Truncated();
+    if (n == 0) return Status::OK();
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();

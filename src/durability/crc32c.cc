@@ -1,6 +1,12 @@
 #include "durability/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#define MISTIQUE_CRC32C_X86 1
+#endif
 
 namespace mistique {
 
@@ -43,9 +49,55 @@ inline uint32_t LoadLe32(const uint8_t* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
+#ifdef MISTIQUE_CRC32C_X86
+/// The SSE4.2 `crc32` instruction implements this same reflected
+/// Castagnoli step on the un-inverted state, 8 bytes at a time.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t crc,
+                                                       const void* data,
+                                                       size_t len) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  crc ^= 0xFFFFFFFFu;
+  while (len > 0 && (reinterpret_cast<uintptr_t>(p) & 7u) != 0) {
+    crc = _mm_crc32_u8(crc, *p++);
+    --len;
+  }
+  uint64_t crc64 = crc;
+  while (len >= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    crc64 = _mm_crc32_u64(crc64, word);
+    p += 8;
+    len -= 8;
+  }
+  crc = static_cast<uint32_t>(crc64);
+  while (len > 0) {
+    crc = _mm_crc32_u8(crc, *p++);
+    --len;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+#endif  // MISTIQUE_CRC32C_X86
+
+Crc32cExtendFn PickExtend() {
+  if (Crc32cExtendFn hardware = Crc32cHardwareExtend()) return hardware;
+  return Crc32cExtendPortable;
+}
+
 }  // namespace
 
+Crc32cExtendFn Crc32cHardwareExtend() {
+#ifdef MISTIQUE_CRC32C_X86
+  if (__builtin_cpu_supports("sse4.2")) return ExtendSse42;
+#endif
+  return nullptr;
+}
+
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+  static const Crc32cExtendFn extend = PickExtend();
+  return extend(crc, data, len);
+}
+
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t len) {
   const Crc32cTables& tab = Tables();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   crc ^= 0xFFFFFFFFu;

@@ -139,16 +139,26 @@ namespace {
 
 constexpr uint32_t kCatalogMagic = 0x4d51434cu;  // "MQCL"
 
-void SaveDoubles(ByteWriter* w, const std::vector<double>& values) {
+/// u64 count + the elements' raw bytes (doubles, chunk ids).
+template <typename T>
+void SaveVector(ByteWriter* w, const std::vector<T>& values) {
   w->PutU64(values.size());
-  w->PutRaw(values.data(), values.size() * sizeof(double));
+  w->PutRaw(values.data(), values.size() * sizeof(T));
 }
 
-Status LoadDoubles(ByteReader* r, std::vector<double>* values) {
+template <typename T>
+Status LoadVector(ByteReader* r, std::vector<T>* values) {
   uint64_t n = 0;
   MISTIQUE_RETURN_NOT_OK(r->GetU64(&n));
+  // Checked before the resize: a corrupt count must neither allocate nor
+  // wrap n * sizeof(T) into a small read.
+  if (n > r->remaining() / sizeof(T)) {
+    return Status::Corruption("catalog vector of " + std::to_string(n) +
+                              " elements overruns its " +
+                              std::to_string(r->remaining()) + " bytes");
+  }
   values->resize(n);
-  return r->GetRaw(values->data(), n * sizeof(double));
+  return r->GetRaw(values->data(), n * sizeof(T));
 }
 
 }  // namespace
@@ -165,8 +175,8 @@ void SaveIntermediateInfo(ByteWriter* w, const IntermediateInfo& interm) {
   w->PutU8(static_cast<uint8_t>(interm.scheme));
   w->PutI64(interm.kbits);
   w->PutF64(interm.threshold);
-  SaveDoubles(w, interm.recon.centers);
-  SaveDoubles(w, interm.edges);
+  SaveVector(w, interm.recon.centers);
+  SaveVector(w, interm.edges);
   w->PutF64(interm.cum_exec_sec_per_ex);
   w->PutF64(interm.stored_bytes_per_ex);
   w->PutU64(interm.n_query);
@@ -176,10 +186,9 @@ void SaveIntermediateInfo(ByteWriter* w, const IntermediateInfo& interm) {
     w->PutU8(col.materialized ? 1 : 0);
     w->PutU64(col.encoded_bytes);
     w->PutU64(col.stored_bytes);
-    w->PutU64(col.chunks.size());
-    w->PutRaw(col.chunks.data(), col.chunks.size() * sizeof(ChunkId));
-    SaveDoubles(w, col.chunk_min);
-    SaveDoubles(w, col.chunk_max);
+    SaveVector(w, col.chunks);
+    SaveVector(w, col.chunk_min);
+    SaveVector(w, col.chunk_max);
   }
 }
 
@@ -204,8 +213,8 @@ Status LoadIntermediateInfo(ByteReader* r, IntermediateInfo* interm) {
   MISTIQUE_RETURN_NOT_OK(r->GetI64(&i64));
   interm->kbits = static_cast<int>(i64);
   MISTIQUE_RETURN_NOT_OK(r->GetF64(&interm->threshold));
-  MISTIQUE_RETURN_NOT_OK(LoadDoubles(r, &interm->recon.centers));
-  MISTIQUE_RETURN_NOT_OK(LoadDoubles(r, &interm->edges));
+  MISTIQUE_RETURN_NOT_OK(LoadVector(r, &interm->recon.centers));
+  MISTIQUE_RETURN_NOT_OK(LoadVector(r, &interm->edges));
   MISTIQUE_RETURN_NOT_OK(r->GetF64(&interm->cum_exec_sec_per_ex));
   MISTIQUE_RETURN_NOT_OK(r->GetF64(&interm->stored_bytes_per_ex));
   MISTIQUE_RETURN_NOT_OK(r->GetU64(&interm->n_query));
@@ -214,18 +223,14 @@ Status LoadIntermediateInfo(ByteReader* r, IntermediateInfo* interm) {
   interm->columns.resize(num_cols);
   for (ColumnInfo& col : interm->columns) {
     uint8_t materialized = 0;
-    uint64_t num_chunks = 0;
     MISTIQUE_RETURN_NOT_OK(r->GetString(&col.name));
     MISTIQUE_RETURN_NOT_OK(r->GetU8(&materialized));
     col.materialized = materialized != 0;
     MISTIQUE_RETURN_NOT_OK(r->GetU64(&col.encoded_bytes));
     MISTIQUE_RETURN_NOT_OK(r->GetU64(&col.stored_bytes));
-    MISTIQUE_RETURN_NOT_OK(r->GetU64(&num_chunks));
-    col.chunks.resize(num_chunks);
-    MISTIQUE_RETURN_NOT_OK(
-        r->GetRaw(col.chunks.data(), num_chunks * sizeof(ChunkId)));
-    MISTIQUE_RETURN_NOT_OK(LoadDoubles(r, &col.chunk_min));
-    MISTIQUE_RETURN_NOT_OK(LoadDoubles(r, &col.chunk_max));
+    MISTIQUE_RETURN_NOT_OK(LoadVector(r, &col.chunks));
+    MISTIQUE_RETURN_NOT_OK(LoadVector(r, &col.chunk_min));
+    MISTIQUE_RETURN_NOT_OK(LoadVector(r, &col.chunk_max));
   }
   return Status::OK();
 }

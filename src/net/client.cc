@@ -349,6 +349,13 @@ Status Client::CloseSession() {
 }
 
 Result<FetchResult> Client::Fetch(const FetchRequest& request) {
+  MISTIQUE_ASSIGN_OR_RETURN(std::string payload, FetchPayload(request));
+  FetchResult result;
+  MISTIQUE_RETURN_NOT_OK(wire::DecodeFetchResult(payload, &result));
+  return result;
+}
+
+Result<std::string> Client::FetchPayload(const FetchRequest& request) {
   wire::Frame resp;
   MISTIQUE_RETURN_NOT_OK(Call(
       wire::MsgType::kFetchReq, /*with_session=*/true,
@@ -356,9 +363,8 @@ Result<FetchResult> Client::Fetch(const FetchRequest& request) {
         return wire::EncodeFetchRequest(session, request);
       },
       wire::MsgType::kFetchResp, &resp));
-  FetchResult result;
-  MISTIQUE_RETURN_NOT_OK(wire::DecodeFetchResult(resp.payload, &result));
-  return result;
+  MISTIQUE_RETURN_NOT_OK(wire::CheckFetchResult(resp.payload));
+  return std::move(resp.payload);
 }
 
 Result<ScanResult> Client::Scan(const ScanRequest& request) {

@@ -80,6 +80,10 @@ class Client {
 
   /// Fetch/Scan run under this client's session, opening one if needed.
   Result<FetchResult> Fetch(const FetchRequest& request);
+  /// Fetch without the decode: the server's kFetchResp payload, already
+  /// checked with wire::CheckFetchResult, so it fails exactly when Fetch
+  /// would. A router relays these bytes unchanged.
+  Result<std::string> FetchPayload(const FetchRequest& request);
   Result<ScanResult> Scan(const ScanRequest& request);
   Result<ServiceStats> Stats();
   /// Prometheus-style exposition text scraped from the server.

@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <bit>
 #include <cstring>
 
 #include "durability/crc32c.h"
@@ -7,16 +8,52 @@
 namespace mistique {
 namespace wire {
 
+// Vectors cross the wire as their in-memory bytes (one memcpy each way),
+// which equals the little-endian encoding only on a little-endian host.
+// common/bytes.h and scan/packed_view.h make the same assumption.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies vectors as raw little-endian blocks");
+
 namespace {
 
 /// Decoded vectors are validated against bytes-remaining before any
 /// allocation; per-element minimum sizes for that check.
 constexpr size_t kMinStringBytes = 4;  // empty string = u32 length
+/// A column list entry is at least its u32 element count.
+constexpr size_t kMinColumnBytes = 4;
 
 void PutLe(std::string* out, uint64_t v, size_t bytes) {
   for (size_t i = 0; i < bytes; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
   }
+}
+
+template <typename T>
+void PutBlock(std::string* out, const std::vector<T>& v) {
+  if (!v.empty()) {
+    out->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+  }
+}
+
+template <typename T>
+void CopyBlock(const uint8_t* block, uint32_t count, std::vector<T>* v) {
+  v->resize(count);
+  if (count > 0) std::memcpy(v->data(), block, count * sizeof(T));
+}
+
+/// Encoded sizes, so the result encoders allocate once.
+size_t StringVecBytes(const std::vector<std::string>& v) {
+  size_t n = 4;
+  for (const std::string& s : v) n += 4 + s.size();
+  return n;
+}
+
+size_t ColumnsBytes(const std::vector<std::vector<double>>& columns) {
+  size_t n = 4;
+  for (const std::vector<double>& col : columns) {
+    n += 4 + col.size() * sizeof(double);
+  }
+  return n;
 }
 
 }  // namespace
@@ -88,12 +125,12 @@ void Writer::PutString(std::string_view s) {
 
 void Writer::PutU64Vec(const std::vector<uint64_t>& v) {
   PutU32(static_cast<uint32_t>(v.size()));
-  for (uint64_t x : v) PutU64(x);
+  PutBlock(out_, v);
 }
 
 void Writer::PutF64Vec(const std::vector<double>& v) {
   PutU32(static_cast<uint32_t>(v.size()));
-  for (double x : v) PutF64(x);
+  PutBlock(out_, v);
 }
 
 void Writer::PutStringVec(const std::vector<std::string>& v) {
@@ -155,21 +192,28 @@ Status Reader::GetString(std::string* s) {
   return Status::OK();
 }
 
+Status Reader::GetBlock(size_t elem_bytes, const char* what, uint32_t* count,
+                        const uint8_t** block) {
+  MISTIQUE_RETURN_NOT_OK(GetU32(count));
+  if (remaining() / elem_bytes < *count) return Truncated(what);
+  *block = p_ + pos_;
+  pos_ += *count * elem_bytes;
+  return Status::OK();
+}
+
 Status Reader::GetU64Vec(std::vector<uint64_t>* v) {
   uint32_t count = 0;
-  MISTIQUE_RETURN_NOT_OK(GetU32(&count));
-  if (remaining() / 8 < count) return Truncated("u64 vector");
-  v->resize(count);
-  for (uint32_t i = 0; i < count; ++i) MISTIQUE_RETURN_NOT_OK(GetU64(&(*v)[i]));
+  const uint8_t* block = nullptr;
+  MISTIQUE_RETURN_NOT_OK(GetBlock(8, "u64 vector", &count, &block));
+  CopyBlock(block, count, v);
   return Status::OK();
 }
 
 Status Reader::GetF64Vec(std::vector<double>* v) {
   uint32_t count = 0;
-  MISTIQUE_RETURN_NOT_OK(GetU32(&count));
-  if (remaining() / 8 < count) return Truncated("f64 vector");
-  v->resize(count);
-  for (uint32_t i = 0; i < count; ++i) MISTIQUE_RETURN_NOT_OK(GetF64(&(*v)[i]));
+  const uint8_t* block = nullptr;
+  MISTIQUE_RETURN_NOT_OK(GetBlock(8, "f64 vector", &count, &block));
+  CopyBlock(block, count, v);
   return Status::OK();
 }
 
@@ -179,6 +223,34 @@ Status Reader::GetStringVec(std::vector<std::string>* v) {
   if (remaining() / kMinStringBytes < count) return Truncated("string vector");
   v->resize(count);
   for (uint32_t i = 0; i < count; ++i) MISTIQUE_RETURN_NOT_OK(GetString(&(*v)[i]));
+  return Status::OK();
+}
+
+Status Reader::SkipString() {
+  uint32_t len = 0;
+  MISTIQUE_RETURN_NOT_OK(GetU32(&len));
+  if (remaining() < len) return Truncated("string bytes");
+  pos_ += len;
+  return Status::OK();
+}
+
+Status Reader::SkipU64Vec() {
+  uint32_t count = 0;
+  const uint8_t* block = nullptr;
+  return GetBlock(8, "u64 vector", &count, &block);
+}
+
+Status Reader::SkipF64Vec() {
+  uint32_t count = 0;
+  const uint8_t* block = nullptr;
+  return GetBlock(8, "f64 vector", &count, &block);
+}
+
+Status Reader::SkipStringVec() {
+  uint32_t count = 0;
+  MISTIQUE_RETURN_NOT_OK(GetU32(&count));
+  if (remaining() / kMinStringBytes < count) return Truncated("string vector");
+  for (uint32_t i = 0; i < count; ++i) MISTIQUE_RETURN_NOT_OK(SkipString());
   return Status::OK();
 }
 
@@ -251,6 +323,7 @@ Status DecodeHelloReply(const void* data, size_t len) {
 
 void AppendFrame(std::string* out, MsgType type, uint64_t request_id,
                  std::string_view payload) {
+  out->reserve(out->size() + kFrameOverhead + payload.size());
   Writer w(out);
   const uint32_t body_len =
       static_cast<uint32_t>(1 + 8 + payload.size() + 4);
@@ -346,6 +419,9 @@ Status DecodeFetchRequest(const std::string& payload, uint64_t* session,
 
 std::string EncodeFetchResult(const FetchResult& result) {
   std::string out;
+  out.reserve(StringVecBytes(result.column_names) +
+              ColumnsBytes(result.columns) + 4 +
+              result.row_ids.size() * sizeof(uint64_t) + 1 + 1 + 3 * 8 + 1);
   Writer w(&out);
   w.PutStringVec(result.column_names);
   w.PutU32(static_cast<uint32_t>(result.columns.size()));
@@ -365,7 +441,7 @@ Status DecodeFetchResult(const std::string& payload, FetchResult* result) {
   MISTIQUE_RETURN_NOT_OK(r.GetStringVec(&result->column_names));
   uint32_t num_cols = 0;
   MISTIQUE_RETURN_NOT_OK(r.GetU32(&num_cols));
-  if (r.remaining() / 4 < num_cols) {
+  if (r.remaining() / kMinColumnBytes < num_cols) {
     return Status::Corruption("truncated payload reading column list");
   }
   result->columns.resize(num_cols);
@@ -383,6 +459,31 @@ Status DecodeFetchResult(const std::string& payload, FetchResult* result) {
   MISTIQUE_RETURN_NOT_OK(r.GetF64(&result->predicted_rerun_sec));
   MISTIQUE_RETURN_NOT_OK(r.GetU8(&b));
   result->materialized_now = b != 0;
+  return r.ExpectEnd();
+}
+
+Status CheckFetchResult(const std::string& payload) {
+  // DecodeFetchResult step for step, skipping where it copies. Its flags
+  // and timings accept any value, so only their width is checked here.
+  Reader r(payload.data(), payload.size());
+  MISTIQUE_RETURN_NOT_OK(r.SkipStringVec());
+  uint32_t num_cols = 0;
+  MISTIQUE_RETURN_NOT_OK(r.GetU32(&num_cols));
+  if (r.remaining() / kMinColumnBytes < num_cols) {
+    return Status::Corruption("truncated payload reading column list");
+  }
+  for (uint32_t c = 0; c < num_cols; ++c) {
+    MISTIQUE_RETURN_NOT_OK(r.SkipF64Vec());
+  }
+  MISTIQUE_RETURN_NOT_OK(r.SkipU64Vec());
+  uint8_t b = 0;
+  double f = 0;
+  MISTIQUE_RETURN_NOT_OK(r.GetU8(&b));  // used_read
+  MISTIQUE_RETURN_NOT_OK(r.GetU8(&b));  // from_cache
+  MISTIQUE_RETURN_NOT_OK(r.GetF64(&f));  // fetch_seconds
+  MISTIQUE_RETURN_NOT_OK(r.GetF64(&f));  // predicted_read_sec
+  MISTIQUE_RETURN_NOT_OK(r.GetF64(&f));  // predicted_rerun_sec
+  MISTIQUE_RETURN_NOT_OK(r.GetU8(&b));  // materialized_now
   return r.ExpectEnd();
 }
 
@@ -416,6 +517,9 @@ Status DecodeScanRequest(const std::string& payload, uint64_t* session,
 
 std::string EncodeScanResult(const ScanResult& result) {
   std::string out;
+  out.reserve(4 + result.row_ids.size() * sizeof(uint64_t) +
+              StringVecBytes(result.column_names) +
+              ColumnsBytes(result.columns) + 8 + 8);
   Writer w(&out);
   w.PutU64Vec(result.row_ids);
   w.PutStringVec(result.column_names);
@@ -432,7 +536,7 @@ Status DecodeScanResult(const std::string& payload, ScanResult* result) {
   MISTIQUE_RETURN_NOT_OK(r.GetStringVec(&result->column_names));
   uint32_t num_cols = 0;
   MISTIQUE_RETURN_NOT_OK(r.GetU32(&num_cols));
-  if (r.remaining() / 4 < num_cols) {
+  if (r.remaining() / kMinColumnBytes < num_cols) {
     return Status::Corruption("truncated payload reading column list");
   }
   result->columns.resize(num_cols);

@@ -127,7 +127,10 @@ bool IsDegraded(const Status& status);
 
 /// --- Bounds-checked primitive encoding (little-endian) ---
 
-/// Appends primitives to a std::string buffer.
+/// Appends primitives to a std::string buffer. Vectors go out as a u32
+/// count followed by their elements' raw bytes in one block, which is
+/// their little-endian encoding on the little-endian hosts this build
+/// supports (wire.cc asserts it).
 class Writer {
  public:
   explicit Writer(std::string* out) : out_(out) {}
@@ -166,6 +169,11 @@ class Reader {
   Status GetU64Vec(std::vector<uint64_t>* v);
   Status GetF64Vec(std::vector<double>* v);
   Status GetStringVec(std::vector<std::string>* v);
+  /// Layout-only twins of the getters above: the same checks, same
+  /// failures, but nothing is copied out (CheckFetchResult).
+  Status SkipU64Vec();
+  Status SkipF64Vec();
+  Status SkipStringVec();
 
   size_t remaining() const { return len_ - pos_; }
   /// Decoders call this last: trailing bytes mean a version skew or a
@@ -173,6 +181,14 @@ class Reader {
   Status ExpectEnd() const;
 
  private:
+  /// A u32 count followed by count * `elem_bytes` bytes: checks the count
+  /// against the bytes remaining, then steps past the block and points
+  /// `*block` at it.
+  Status GetBlock(size_t elem_bytes, const char* what, uint32_t* count,
+                  const uint8_t** block);
+  /// Steps past one u32-length-prefixed string.
+  Status SkipString();
+
   const uint8_t* p_;
   size_t len_;
   size_t pos_ = 0;
@@ -220,6 +236,11 @@ Status DecodeFetchRequest(const std::string& payload, uint64_t* session,
 
 std::string EncodeFetchResult(const FetchResult& result);
 Status DecodeFetchResult(const std::string& payload, FetchResult* result);
+/// Walks a kFetchResp payload's layout without decoding it: accepts and
+/// rejects exactly the payloads DecodeFetchResult does, at the cost of
+/// one step per string and column rather than per value. A router checks
+/// a shard's answer with it and then relays the bytes unchanged.
+Status CheckFetchResult(const std::string& payload);
 
 std::string EncodeScanRequest(uint64_t session, const ScanRequest& req);
 Status DecodeScanRequest(const std::string& payload, uint64_t* session,

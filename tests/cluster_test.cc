@@ -7,11 +7,14 @@
 
 #include <chrono>
 #include <cmath>
+#include <future>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -22,8 +25,10 @@
 #include "common/random.h"
 #include "core/mistique.h"
 #include "net/client.h"
+#include "net/frame_handler.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "service/query_service.h"
 #include "test_util.h"
@@ -819,6 +824,197 @@ TEST_F(RouterTest, HedgedTracedFetchShowsBothAttemptsInRoot) {
 
   front.Stop();
   hedged->Stop();
+}
+
+// --- Router relay: fetch answers cross the router as the owner's bytes ---
+
+/// A shard that answers every fetch, bare or in a trace envelope, with
+/// one canned kFetchResp payload, plus the health and session frames a
+/// router needs. It lets a test fix the exact bytes the router receives.
+class CannedShard : public net::FrameHandler {
+ public:
+  explicit CannedShard(std::string fetch_payload)
+      : fetch_payload_(std::move(fetch_payload)) {}
+
+  net::FrameDisposition HandleFrame(uint64_t conn_token,
+                                    const wire::Frame& frame,
+                                    net::Responder respond) override {
+    (void)conn_token;
+    switch (frame.type) {
+      case wire::MsgType::kHealthReq:
+        respond(wire::MsgType::kHealthResp,
+                wire::EncodeHealth(wire::HealthInfo{}));
+        return net::FrameDisposition::kOk;
+      case wire::MsgType::kOpenSessionReq:
+        respond(wire::MsgType::kOpenSessionResp, wire::EncodeSessionId(1));
+        return net::FrameDisposition::kOk;
+      case wire::MsgType::kCloseSessionReq:
+        respond(wire::MsgType::kCloseSessionResp, "");
+        return net::FrameDisposition::kOk;
+      case wire::MsgType::kFetchReq:
+        respond(wire::MsgType::kFetchResp, fetch_payload_);
+        return net::FrameDisposition::kOk;
+      case wire::MsgType::kTracedReq:
+        respond(wire::MsgType::kTracedResp,
+                wire::EncodeTracedResponse(wire::MsgType::kFetchResp,
+                                           fetch_payload_, nullptr));
+        return net::FrameDisposition::kOk;
+      default:
+        respond(wire::MsgType::kErrorResp,
+                wire::EncodeError(Status::InvalidArgument("not canned")));
+        return net::FrameDisposition::kMalformed;
+    }
+  }
+  void OnConnectionClosed(uint64_t conn_token) override { (void)conn_token; }
+  uint64_t DrainRequests(double deadline_sec) override {
+    (void)deadline_sec;
+    return 0;
+  }
+
+ private:
+  const std::string fetch_payload_;
+};
+
+/// The router configurations a fetch can take: plain forward, hedged
+/// forward, and router-side self-sampling through the traced path.
+struct RelayConfig {
+  const char* name;
+  double hedge_delay_sec;
+  double sample_rate;
+};
+constexpr RelayConfig kRelayConfigs[] = {
+    {"plain", 0, 0}, {"hedged", 0.0001, 0}, {"self-sampled", 0, 1}};
+
+std::unique_ptr<Router> StartRelayRouter(uint16_t shard_port,
+                                         const RelayConfig& config,
+                                         obs::FlightRecorder* recorder) {
+  ShardSpec spec;
+  spec.shard_id = 0;
+  spec.port = shard_port;
+  RouterOptions options;
+  options.health_interval_sec = 0.05;
+  options.hedge_delay_sec = config.hedge_delay_sec;
+  options.flight_recorder = recorder;
+  auto router = std::make_unique<Router>(ShardMap(1, {spec}), options);
+  EXPECT_OK(router->Start());
+  return router;
+}
+
+FetchRequest RelayFetch() {
+  FetchRequest req;
+  req.project = "proj";
+  req.model = "vis";
+  req.intermediate = "layer";
+  return req;
+}
+
+TEST(RouterRelayTest, RoutedFetchReturnsTheOwnerShardsBytes) {
+  // VIS-sized: a whole 8 x 8192 intermediate of doubles (~512 KiB), with
+  // values a decode + re-encode could silently alter.
+  FetchResult vis;
+  Rng rng(15);
+  for (int c = 0; c < 8; ++c) {
+    vis.column_names.push_back("c" + std::to_string(c));
+    std::vector<double> col(8192);
+    for (double& v : col) v = rng.NextDouble() * 2 - 1;
+    col[0] = -0.0;
+    col[1] = std::nan("0x123");
+    col[2] = std::numeric_limits<double>::denorm_min();
+    vis.columns.push_back(std::move(col));
+  }
+  vis.used_read = true;
+  vis.fetch_seconds = 0.001;
+  const std::string payload = wire::EncodeFetchResult(vis);
+  ASSERT_GT(payload.size(), 512u * 1024);
+
+  CannedShard shard(payload);
+  net::Server shard_server(&shard);
+  ASSERT_OK(shard_server.Start());
+  net::ClientOptions direct_options;
+  direct_options.port = shard_server.port();
+  net::Client direct(direct_options);
+  ASSERT_OK_AND_ASSIGN(std::string owner, direct.FetchPayload(RelayFetch()));
+  ASSERT_TRUE(owner == payload);
+
+  for (const RelayConfig& config : kRelayConfigs) {
+    obs::FlightRecorderOptions recorder_options;
+    recorder_options.sample_rate = config.sample_rate;
+    obs::FlightRecorder recorder(recorder_options);
+    std::unique_ptr<Router> router =
+        StartRelayRouter(shard_server.port(), config, &recorder);
+    net::Server front(router.get());
+    ASSERT_OK(front.Start());
+    net::ClientOptions options;
+    options.port = front.port();
+    net::Client client(options);
+
+    ASSERT_OK_AND_ASSIGN(std::string routed, client.FetchPayload(RelayFetch()));
+    EXPECT_TRUE(routed == owner) << config.name;
+    ASSERT_OK_AND_ASSIGN(FetchResult decoded, client.Fetch(RelayFetch()));
+    EXPECT_EQ(decoded.column_names, vis.column_names) << config.name;
+
+    // A client-sampled trace: the router answers in an envelope, and the
+    // fetch payload inside it is still the owner's, byte for byte.
+    const uint64_t trace_id = obs::NewTraceId();
+    client.SetTraceContext({trace_id, 0, true});
+    ASSERT_OK_AND_ASSIGN(std::string traced,
+                         client.FetchPayload(RelayFetch()));
+    std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
+    client.ClearTraceContext();
+    EXPECT_TRUE(traced == owner) << config.name;
+    ASSERT_TRUE(trace.has_value()) << config.name;
+    EXPECT_EQ(trace->trace_id, trace_id) << config.name;
+    EXPECT_EQ(trace->strategy, "forward") << config.name;
+
+    front.Stop();
+    router->Stop();
+  }
+  shard_server.Stop();
+}
+
+TEST(RouterRelayTest, TruncatedShardAnswerBecomesAnErrorFrame) {
+  FetchResult result;
+  result.column_names = {"pred"};
+  result.columns = {{1.0, 2.0, 3.0}};
+  const std::string good = wire::EncodeFetchResult(result);
+  CannedShard shard(good.substr(0, good.size() - 1));
+  net::Server shard_server(&shard);
+  ASSERT_OK(shard_server.Start());
+
+  for (const RelayConfig& config : kRelayConfigs) {
+    obs::FlightRecorderOptions recorder_options;
+    recorder_options.sample_rate = config.sample_rate;
+    obs::FlightRecorder recorder(recorder_options);
+    std::unique_ptr<Router> router =
+        StartRelayRouter(shard_server.port(), config, &recorder);
+    const std::string request = wire::EncodeFetchRequest(1, RelayFetch());
+    wire::Frame bare;
+    bare.type = wire::MsgType::kFetchReq;
+    bare.payload = request;
+    wire::Frame enveloped;
+    enveloped.type = wire::MsgType::kTracedReq;
+    enveloped.payload = wire::EncodeTracedRequest(
+        {obs::NewTraceId(), 0, true}, wire::MsgType::kFetchReq, request);
+    for (const wire::Frame* frame : {&bare, &enveloped}) {
+      // Driven in-process, so the test sees the frame type the router
+      // answers with: an error, never the shard's bytes relayed on.
+      std::promise<std::pair<wire::MsgType, std::string>> answered;
+      ASSERT_EQ(router->HandleFrame(
+                    1, *frame,
+                    [&answered](wire::MsgType type, std::string payload) {
+                      answered.set_value({type, std::move(payload)});
+                    }),
+                net::FrameDisposition::kOk);
+      const auto [type, body] = answered.get_future().get();
+      ASSERT_EQ(type, wire::MsgType::kErrorResp)
+          << config.name << " " << static_cast<int>(frame->type);
+      EXPECT_EQ(wire::DecodeError(body).code(), StatusCode::kCorruption)
+          << config.name << " " << static_cast<int>(frame->type);
+    }
+    EXPECT_TRUE(router->ShardUp(0)) << config.name;
+    router->Stop();
+  }
+  shard_server.Stop();
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/mistique.h"
 #include "durability/crc32c.h"
 #include "durability/durable_file.h"
@@ -36,17 +38,59 @@ TEST(Crc32cTest, KnownAnswerVectors) {
   EXPECT_EQ(Crc32c(incr.data(), incr.size()), 0x46DD794Eu);
 }
 
+/// Every implementation Crc32cExtend can pick on this machine, and the
+/// dispatched entry point itself.
+std::vector<std::pair<const char*, Crc32cExtendFn>> Crc32cPaths() {
+  std::vector<std::pair<const char*, Crc32cExtendFn>> paths = {
+      {"portable", Crc32cExtendPortable}, {"dispatched", Crc32cExtend}};
+  if (Crc32cExtendFn hardware = Crc32cHardwareExtend()) {
+    paths.emplace_back("sse4.2", hardware);
+  }
+  return paths;
+}
+
 TEST(Crc32cTest, ExtendComposesOverSplits) {
   std::vector<uint8_t> data(257);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i * 31 + 7);
   }
   const uint32_t whole = Crc32c(data.data(), data.size());
-  for (size_t split : {size_t{0}, size_t{1}, size_t{8}, size_t{100}, data.size()}) {
-    const uint32_t head = Crc32c(data.data(), split);
-    EXPECT_EQ(Crc32cExtend(head, data.data() + split, data.size() - split),
-              whole)
-        << "split at " << split;
+  for (const auto& [name, extend] : Crc32cPaths()) {
+    EXPECT_EQ(extend(0, data.data(), data.size()), whole) << name;
+    for (size_t split :
+         {size_t{0}, size_t{1}, size_t{8}, size_t{100}, data.size()}) {
+      const uint32_t head = extend(0, data.data(), split);
+      EXPECT_EQ(extend(head, data.data() + split, data.size() - split), whole)
+          << name << " split at " << split;
+    }
+  }
+}
+
+TEST(Crc32cTest, HardwarePathMatchesPortableTable) {
+  const Crc32cExtendFn hardware = Crc32cHardwareExtend();
+  if (hardware == nullptr) GTEST_SKIP() << "no SSE4.2 crc32 on this CPU";
+  Rng rng(0xC5C32C);
+  // Every start alignment and every length across the 8-byte word loop's
+  // head, body and tail, from an incoming state that is not the default.
+  std::vector<uint8_t> buf(16 + 4200);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t align = 0; align < 16; ++align) {
+    const uint8_t* p = buf.data() + align;
+    for (size_t len = 0; len <= 4200; ++len) {
+      const uint32_t state = static_cast<uint32_t>(len * 0x9E3779B9u);
+      ASSERT_EQ(hardware(state, p, len), Crc32cExtendPortable(state, p, len))
+          << "align " << align << " len " << len;
+    }
+  }
+  std::vector<uint8_t> big(1u << 20);
+  for (int trial = 0; trial < 4; ++trial) {
+    for (uint8_t& b : big) b = static_cast<uint8_t>(rng.NextU64());
+    EXPECT_EQ(hardware(0, big.data(), big.size()),
+              Crc32cExtendPortable(0, big.data(), big.size()))
+        << "trial " << trial;
+    EXPECT_EQ(Crc32c(big.data(), big.size()),
+              Crc32cExtendPortable(0, big.data(), big.size()))
+        << "trial " << trial;
   }
 }
 

@@ -1,3 +1,8 @@
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
+#include "common/bytes.h"
 #include "gtest/gtest.h"
 #include "metadata/metadata_db.h"
 #include "test_util.h"
@@ -126,6 +131,58 @@ TEST(IntermediateInfoTest, NumRowBlocks) {
   EXPECT_EQ(interm.NumRowBlocks(), 1u);
   interm.num_rows = 0;
   EXPECT_EQ(interm.NumRowBlocks(), 0u);
+}
+
+TEST(IntermediateInfoTest, EmptyVectorsRoundTrip) {
+  // An unquantized, unmaterialized entry: every catalog vector is empty,
+  // so loading copies zero bytes into a null data() pointer.
+  IntermediateInfo interm;
+  interm.name = "layer1";
+  ColumnInfo col;
+  col.name = "c0";
+  interm.columns.push_back(col);
+  ByteWriter w;
+  SaveIntermediateInfo(&w, interm);
+  ByteReader r(w.bytes());
+  IntermediateInfo out;
+  ASSERT_OK(LoadIntermediateInfo(&r, &out));
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(out.name, "layer1");
+  EXPECT_TRUE(out.recon.centers.empty());
+  EXPECT_TRUE(out.edges.empty());
+  ASSERT_EQ(out.columns.size(), 1u);
+  EXPECT_TRUE(out.columns[0].chunks.empty());
+  EXPECT_TRUE(out.columns[0].chunk_min.empty());
+  EXPECT_TRUE(out.columns[0].chunk_max.empty());
+}
+
+TEST(IntermediateInfoTest, CorruptVectorCountIsRejectedBeforeAllocating) {
+  IntermediateInfo interm;
+  interm.name = "layer1";
+  interm.recon.centers = {1.0};
+  ByteWriter w;
+  SaveIntermediateInfo(&w, interm);
+  // Locate recon.centers on disk: its u64 count 1, then 1.0's bits.
+  ByteWriter pattern;
+  pattern.PutU64(1);
+  pattern.PutF64(1.0);
+  const std::vector<uint8_t>& good = w.bytes();
+  const auto at = std::search(good.begin(), good.end(),
+                              pattern.bytes().begin(), pattern.bytes().end());
+  ASSERT_NE(at, good.end());
+  const size_t offset = static_cast<size_t>(at - good.begin());
+  // A count far past the bytes that follow, and one whose byte size wraps
+  // to 8 in 64 bits, which an unchecked n * sizeof(double) would accept.
+  for (const uint64_t count : {uint64_t{1} << 40, (uint64_t{1} << 61) + 1}) {
+    std::vector<uint8_t> bad = good;
+    std::memcpy(bad.data() + offset, &count, sizeof(count));
+    ByteReader r(bad);
+    IntermediateInfo out;
+    const Status st = LoadIntermediateInfo(&r, &out);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption)
+        << count << ": " << st.ToString();
+    EXPECT_TRUE(out.recon.centers.empty()) << count;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -208,6 +210,101 @@ TEST(WireTest, ScanRoundTrip) {
   EXPECT_EQ(out.blocks_pruned, 7u);
 }
 
+// The result payloads are frozen by bytes, not only by round trip: the
+// hex below is what the per-byte encoder produced before vectors became
+// raw blocks, so any codec change that moves a byte fails here even if it
+// still decodes its own output. The values cover what a byte-order or
+// float-canonicalization slip would change: -0.0, NaN payloads (quiet and
+// signalling), denormals, infinities, an empty column and empty row ids.
+
+double DoubleFromBits(uint64_t bits) {
+  double d = 0;
+  std::memcpy(&d, &bits, sizeof(d));
+  return d;
+}
+
+std::string BytesFromHex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
+/// Bitwise equality, so NaNs compare by payload and -0.0 != 0.0.
+void ExpectSameBits(const std::vector<std::vector<double>>& a,
+                    const std::vector<std::vector<double>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t c = 0; c < a.size(); ++c) {
+    ASSERT_EQ(a[c].size(), b[c].size()) << "column " << c;
+    if (a[c].empty()) continue;
+    EXPECT_EQ(std::memcmp(a[c].data(), b[c].data(),
+                          a[c].size() * sizeof(double)),
+              0)
+        << "column " << c;
+  }
+}
+
+TEST(WireTest, ResultEncodingsMatchGoldenBytes) {
+  FetchResult fetch;
+  fetch.column_names = {"x", "", "nan"};
+  fetch.columns = {{-0.0, 1.5, std::numeric_limits<double>::denorm_min(),
+                    -std::numeric_limits<double>::infinity()},
+                   {},
+                   {DoubleFromBits(0x7ff8000000000123ull),
+                    DoubleFromBits(0xfff4000000000001ull)}};
+  fetch.used_read = true;
+  fetch.from_cache = false;
+  fetch.fetch_seconds = 0.25;
+  fetch.predicted_read_sec = -0.0;
+  fetch.predicted_rerun_sec = DoubleFromBits(0x000fffffffffffffull);
+  fetch.materialized_now = true;
+  const std::string fetch_golden = BytesFromHex(
+      "03000000010000007800000000030000006e616e030000000400000000000000"
+      "00000080000000000000f83f0100000000000000000000000000f0ff00000000"
+      "02000000230100000000f87f010000000000f4ff000000000100000000000000"
+      "d03f0000000000000080ffffffffffff0f0001");
+  ASSERT_EQ(fetch_golden.size(), 115u);
+  EXPECT_EQ(wire::EncodeFetchResult(fetch), fetch_golden);
+  FetchResult fetch_out;
+  ASSERT_OK(wire::DecodeFetchResult(fetch_golden, &fetch_out));
+  EXPECT_EQ(fetch_out.column_names, fetch.column_names);
+  ExpectSameBits(fetch_out.columns, fetch.columns);
+  EXPECT_TRUE(fetch_out.row_ids.empty());
+  EXPECT_TRUE(fetch_out.used_read);
+  EXPECT_FALSE(fetch_out.from_cache);
+  EXPECT_TRUE(fetch_out.materialized_now);
+  ExpectSameBits({{fetch_out.fetch_seconds, fetch_out.predicted_read_sec,
+                   fetch_out.predicted_rerun_sec}},
+                 {{fetch.fetch_seconds, fetch.predicted_read_sec,
+                   fetch.predicted_rerun_sec}});
+  EXPECT_OK(wire::CheckFetchResult(fetch_golden));
+
+  ScanResult scan;
+  scan.row_ids = {0, 7, 0xFFFFFFFFFFFFFFFFull};
+  scan.column_names = {"s", "empty"};
+  scan.columns = {{DoubleFromBits(0x8000000000000001ull),
+                   DoubleFromBits(0x7ff0000000000001ull), 3.0},
+                  {}};
+  scan.blocks_scanned = 5;
+  scan.blocks_pruned = 0x0102030405060708ull;
+  const std::string scan_golden = BytesFromHex(
+      "0300000000000000000000000700000000000000ffffffffffffffff02000000"
+      "010000007305000000656d707479020000000300000001000000000000800100"
+      "00000000f07f0000000000000840000000000500000000000000080706050403"
+      "0201");
+  ASSERT_EQ(scan_golden.size(), 98u);
+  EXPECT_EQ(wire::EncodeScanResult(scan), scan_golden);
+  ScanResult scan_out;
+  ASSERT_OK(wire::DecodeScanResult(scan_golden, &scan_out));
+  EXPECT_EQ(scan_out.row_ids, scan.row_ids);
+  EXPECT_EQ(scan_out.column_names, scan.column_names);
+  ExpectSameBits(scan_out.columns, scan.columns);
+  EXPECT_EQ(scan_out.blocks_scanned, 5u);
+  EXPECT_EQ(scan_out.blocks_pruned, 0x0102030405060708ull);
+  EXPECT_EQ(wire::kProtocolVersion, 1);
+}
+
 TEST(WireTest, StatsRoundTrip) {
   ServiceStats stats;
   stats.submitted = 1;
@@ -361,7 +458,8 @@ TEST(WireTest, FuzzedPayloadDecodersNeverCrash) {
     ScanResult sres;
     ServiceStats stats;
     (void)wire::DecodeFetchRequest(payload, &session, &freq);
-    (void)wire::DecodeFetchResult(payload, &fres);
+    EXPECT_EQ(wire::CheckFetchResult(payload).ok(),
+              wire::DecodeFetchResult(payload, &fres).ok());
     (void)wire::DecodeScanRequest(payload, &session, &sreq);
     (void)wire::DecodeScanResult(payload, &sres);
     (void)wire::DecodeStats(payload, &stats);
@@ -378,6 +476,21 @@ TEST(WireTest, FuzzedPayloadDecodersNeverCrash) {
     EXPECT_FALSE(
         wire::DecodeFetchResult(good.substr(0, len), &out).ok())
         << "truncation at " << len;
+    EXPECT_FALSE(wire::CheckFetchResult(good.substr(0, len)).ok())
+        << "truncation at " << len;
+  }
+  // Every single-byte mutation of it: counts and lengths that grow,
+  // shrink or overrun must get the same verdict from the layout walk a
+  // router relays by as from the decoder a client uses.
+  for (size_t pos = 0; pos < good.size(); ++pos) {
+    for (const uint8_t mask : {0x01, 0x02, 0x80, 0xFF}) {
+      std::string mutated = good;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
+      FetchResult out;
+      EXPECT_EQ(wire::CheckFetchResult(mutated).ok(),
+                wire::DecodeFetchResult(mutated, &out).ok())
+          << "byte " << pos << " ^ " << static_cast<int>(mask);
+    }
   }
 }
 
@@ -512,15 +625,22 @@ TEST(WireTest, NewPayloadsRejectTruncationAtEveryByte) {
   summary.rows = 25;
   summary.cols = 2;
   summary.used_read = true;
+  FetchResult fetch;
+  fetch.column_names = {"pred", "score"};
+  fetch.columns = {{0.5, -1.25, 3.0}, {}};
+  fetch.row_ids = {4, 8, 15};
   const std::string encodings[] = {
       wire::EncodeShardMap(SampleShardMap()),
       wire::EncodeHealth(wire::HealthInfo{1, 11, 4, 7}),
       wire::EncodeCatalog(SampleCatalog()),
       wire::EncodeMetricsText("mistique_fetch_total 3\n"),
       wire::EncodeQueryTrace(SampleTrace(), summary),
+      wire::EncodeFetchResult(fetch),
   };
-  const char* names[] = {"shardmap", "health", "catalog", "metrics", "trace"};
-  for (size_t which = 0; which < 5; ++which) {
+  const char* names[] = {"shardmap", "health",     "catalog",
+                         "metrics",  "trace",      "fetch-check"};
+  ASSERT_OK(wire::CheckFetchResult(encodings[5]));
+  for (size_t which = 0; which < std::size(encodings); ++which) {
     const std::string& good = encodings[which];
     ASSERT_FALSE(good.empty()) << names[which];
     for (size_t len = 0; len < good.size(); ++len) {
@@ -551,6 +671,12 @@ TEST(WireTest, NewPayloadsRejectTruncationAtEveryByte) {
           obs::QueryTrace out;
           wire::TraceResultSummary sout;
           st = wire::DecodeQueryTrace(prefix, &out, &sout);
+          break;
+        }
+        case 5: {
+          st = wire::CheckFetchResult(prefix);
+          FetchResult out;
+          EXPECT_EQ(st.ok(), wire::DecodeFetchResult(prefix, &out).ok());
           break;
         }
       }
