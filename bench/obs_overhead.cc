@@ -71,7 +71,6 @@ int main() {
   options.store.directory = dir.path() + "/store";
   options.strategy = StorageStrategy::kDedup;
   options.row_block_size = 64;
-  options.query_cache_entries = 0;  // No engine cache: hit the read path.
   Mistique mq;
   CheckOk(mq.Open(options), "open");
   const ModelId id =

@@ -641,6 +641,51 @@ void ClientWorker(const Config& cfg, uint16_t port, int client_index,
            " op " + std::to_string(op_count) + "] " + op;
   };
 
+  // Enveloped traced fetch: the hop's trace rides back with the response.
+  // Its stage times were measured inside the request, so their sum is
+  // bounded by the latency this client observed over the wire (plus
+  // generous slack for retries and coarse clocks).
+  const auto traced_fetch = [&] {
+    const int idx = static_cast<int>(rng.NextBelow(kStaticModels));
+    const uint64_t n_ex = 1 + rng.NextBelow(kRows);
+    FetchRequest req;
+    req.project = "soak";
+    req.model = "m" + std::to_string(idx);
+    req.intermediate = "pred";
+    req.n_ex = n_ex;
+    client.SetTraceContext({obs::NewTraceId(), 0, true});
+    const auto start = std::chrono::steady_clock::now();
+    Result<FetchResult> r = client.Fetch(req);
+    const double wire_sec = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+    std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
+    client.ClearTraceContext();
+    const std::string desc = where("dtrace soak.m" + std::to_string(idx));
+    if (!r.ok()) {
+      if (!ToleratedCode(r.status().code())) {
+        Violate(desc + ": " + r.status().ToString());
+      }
+      return;
+    }
+    VerifyFetchResult(*r, idx, n_ex, desc);
+    if (!trace.has_value()) {
+      Violate(desc + ": sampled envelope came back without a trace");
+      return;
+    }
+    VerifyTraceIntegrity(*trace, desc);
+    if (!trace->sampled) Violate(desc + ": unsampled trace echoed");
+    if (trace->strategy.empty()) Violate(desc + ": empty strategy");
+    double stage_sum = 0;
+    for (const obs::TraceStageTotal& stage : trace->stage_totals()) {
+      stage_sum += stage.total_sec;
+    }
+    if (stage_sum > wire_sec + 1.0) {
+      Violate(desc + ": trace stage sum " + std::to_string(stage_sum) +
+              "s exceeds wire latency " + std::to_string(wire_sec) + "s");
+    }
+  };
+
   while (!stop->load(std::memory_order_acquire)) {
     op_count++;
     const uint64_t dice = rng.NextBelow(100);
@@ -663,26 +708,7 @@ void ClientWorker(const Config& cfg, uint16_t port, int client_index,
         Violate(desc + ": " + r.status().ToString());
       }
     } else if (dice < 40) {  // traced fetch
-      const int idx = static_cast<int>(rng.NextBelow(kStaticModels));
-      const uint64_t n_ex = 1 + rng.NextBelow(kRows);
-      FetchRequest req;
-      req.project = "soak";
-      req.model = "m" + std::to_string(idx);
-      req.intermediate = "pred";
-      req.n_ex = n_ex;
-      wire::TraceResultSummary summary;
-      Result<obs::QueryTrace> r = client.TraceFetch(req, &summary);
-      const std::string desc = where("trace soak.m" + std::to_string(idx));
-      if (r.ok()) {
-        if (r->strategy.empty()) Violate(desc + ": empty strategy");
-        if (summary.rows != n_ex || summary.cols != 2) {
-          Violate(desc + ": summary " + std::to_string(summary.rows) + "x" +
-                  std::to_string(summary.cols) + ", expected " +
-                  std::to_string(n_ex) + "x2");
-        }
-      } else if (!ToleratedCode(r.status().code())) {
-        Violate(desc + ": " + r.status().ToString());
-      }
+      traced_fetch();
     } else if (dice < 52) {  // predicate scan with a computable answer
       const int idx = static_cast<int>(rng.NextBelow(kStaticModels));
       const uint64_t a = rng.NextBelow(kRows);
@@ -863,47 +889,7 @@ void ClientWorker(const Config& cfg, uint16_t port, int client_index,
     } else if (dice < 96) {  // distributed trace + flight recorder
       const uint64_t flavor = rng.NextBelow(4);
       if (flavor < 2) {
-        // Enveloped traced fetch: the hop's trace rides back with the
-        // response. Its stage times were measured inside the request, so
-        // their sum is bounded by the latency this client observed over
-        // the wire (plus generous slack for retries and coarse clocks).
-        const int idx = static_cast<int>(rng.NextBelow(kStaticModels));
-        const uint64_t n_ex = 1 + rng.NextBelow(kRows);
-        FetchRequest req;
-        req.project = "soak";
-        req.model = "m" + std::to_string(idx);
-        req.intermediate = "pred";
-        req.n_ex = n_ex;
-        client.SetTraceContext({obs::NewTraceId(), 0, true});
-        const auto start = std::chrono::steady_clock::now();
-        Result<FetchResult> r = client.Fetch(req);
-        const double wire_sec = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - start)
-                                    .count();
-        std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
-        client.ClearTraceContext();
-        const std::string desc = where("dtrace soak.m" + std::to_string(idx));
-        if (r.ok()) {
-          VerifyFetchResult(*r, idx, n_ex, desc);
-          if (trace.has_value()) {
-            VerifyTraceIntegrity(*trace, desc);
-            if (!trace->sampled) Violate(desc + ": unsampled trace echoed");
-            double stage_sum = 0;
-            for (const obs::TraceStageTotal& stage : trace->stage_totals()) {
-              stage_sum += stage.total_sec;
-            }
-            if (stage_sum > wire_sec + 1.0) {
-              Violate(desc + ": trace stage sum " +
-                      std::to_string(stage_sum) +
-                      "s exceeds wire latency " + std::to_string(wire_sec) +
-                      "s");
-            }
-          } else {
-            Violate(desc + ": sampled envelope came back without a trace");
-          }
-        } else if (!ToleratedCode(r.status().code())) {
-          Violate(desc + ": " + r.status().ToString());
-        }
+        traced_fetch();
       } else {
         // Retrospection under churn: whatever the rings return must be
         // whole — never a torn/partial trace.

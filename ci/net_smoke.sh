@@ -57,7 +57,7 @@ grep -Eq '^mistique_service_latency_seconds_count [1-9]' "$WORK/metrics.txt" || 
 echo "metrics OK ($(wc -l < "$WORK/metrics.txt") lines)"
 
 echo "== traced remote fetch =="
-"$CLI" remote "127.0.0.1:$PORT" trace "$KEY" 25 2>/dev/null > "$WORK/trace.txt"
+"$CLI" remote "127.0.0.1:$PORT" dtrace "$KEY" 25 2>/dev/null > "$WORK/trace.txt"
 grep -q "strategy:" "$WORK/trace.txt" || {
   echo "trace missing strategy line"; cat "$WORK/trace.txt"; exit 1; }
 grep -q "t_read" "$WORK/trace.txt" || {

@@ -24,7 +24,6 @@
 //   mistique_cli remote <host:port> stats
 //   mistique_cli remote <host:port> metrics
 //   mistique_cli remote <host:port> fetch <project.model.intermediate.column> [n]
-//   mistique_cli remote <host:port> trace <project.model.intermediate.column> [n]
 //   mistique_cli remote <host:port> dtrace <project.model.intermediate.column> [n] [chrome.json]
 //   mistique_cli remote <host:port> flightrec [n] [chrome.json]
 //   mistique_cli remote <host:port> slowlog [n]
@@ -37,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <optional>
 #include <string>
 #include <thread>
@@ -100,13 +100,12 @@ int Usage() {
       "  stats                           remote service + query statistics\n"
       "  metrics                         scrape the server's metrics\n"
       "  fetch <proj.model.interm.col> [n]   remote fetch, print n values\n"
-      "  trace <proj.model.interm.col> [n]   remote traced fetch\n"
       "  scan <proj.model.interm> <col> <lo> <hi>   remote predicate scan\n"
       "  tracescan <proj.model.interm> <col> <lo> <hi>   remote traced scan\n"
       "                                  (zone-map + scan_packed stages)\n"
-      "  dtrace <proj.model.interm.col> [n] [json]   distributed traced\n"
-      "                                  fetch: prints the assembled\n"
-      "                                  cross-node trace tree\n"
+      "  dtrace <proj.model.interm.col> [n] [json]   traced fetch: prints\n"
+      "                                  the trace tree assembled across\n"
+      "                                  every node it crossed\n"
       "  flightrec [n] [json]            recent sampled traces retained by\n"
       "                                  the remote node's flight recorder\n"
       "  slowlog [n]                     the remote node's slow-query log\n"
@@ -172,6 +171,25 @@ void ExportChromeJson(const obs::QueryTrace& trace, const char* path) {
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
   std::fprintf(stderr, "wrote Chrome trace to %s\n", path);
+}
+
+/// Runs `call` with a sampled trace context installed, so the request
+/// travels in a kTracedReq envelope and a router answers with its
+/// assembled per-shard tree; prints the tree the hop sent back (and
+/// exports it as Chrome JSON when `json_path` is set). dtrace and
+/// tracescan share it.
+template <typename F>
+void RunTraced(net::Client& client, F call, const char* json_path) {
+  client.SetTraceContext({obs::NewTraceId(), 0, true});
+  call();
+  std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
+  client.ClearTraceContext();
+  if (!trace.has_value()) {
+    std::printf("(hop attached no trace)\n");
+    return;
+  }
+  std::fputs(trace->Format().c_str(), stdout);
+  if (json_path != nullptr) ExportChromeJson(*trace, json_path);
 }
 
 /// Splits "host:port"; exits on malformed input.
@@ -242,19 +260,6 @@ int RunRemote(int argc, char** argv) {
     std::fputs(Check(client.Metrics()).c_str(), stdout);
     return 0;
   }
-  if (command == "trace" && argc >= 5) {
-    const uint64_t n = argc >= 6 ? std::strtoull(argv[5], nullptr, 10) : 10;
-    FetchRequest request =
-        Check(Mistique::ParseIntermediateKeys({argv[4]}, n));
-    wire::TraceResultSummary summary;
-    const obs::QueryTrace trace = Check(client.TraceFetch(request, &summary));
-    std::fputs(trace.Format().c_str(), stdout);
-    std::fprintf(stderr, "(%llu rows x %llu cols via %s, remote)\n",
-                 static_cast<unsigned long long>(summary.rows),
-                 static_cast<unsigned long long>(summary.cols),
-                 summary.used_read ? "read" : "re-run");
-    return 0;
-  }
   if (command == "fetch" && argc >= 5) {
     const uint64_t n = argc >= 6 ? std::strtoull(argv[5], nullptr, 10) : 10;
     FetchRequest request =
@@ -291,12 +296,10 @@ int RunRemote(int argc, char** argv) {
     scan.lo = std::atof(argv[6]);
     scan.hi = std::atof(argv[7]);
     if (command == "tracescan") {
-      wire::TraceResultSummary summary;
-      const obs::QueryTrace trace = Check(client.TraceScan(scan, &summary));
-      std::fputs(trace.Format().c_str(), stdout);
-      std::fprintf(stderr, "(%llu matching rows x %llu cols, remote)\n",
-                   static_cast<unsigned long long>(summary.rows),
-                   static_cast<unsigned long long>(summary.cols));
+      ScanResult result;
+      RunTraced(client, [&] { result = Check(client.Scan(scan)); }, nullptr);
+      std::fprintf(stderr, "(%zu matching rows x %zu cols, remote)\n",
+                   result.row_ids.size(), result.columns.size());
       return 0;
     }
     ScanResult result = Check(client.Scan(scan));
@@ -332,16 +335,9 @@ int RunRemote(int argc, char** argv) {
     const uint64_t n = argc >= 6 ? std::strtoull(argv[5], nullptr, 10) : 10;
     FetchRequest request =
         Check(Mistique::ParseIntermediateKeys({argv[4]}, n));
-    client.SetTraceContext({obs::NewTraceId(), 0, true});
-    FetchResult result = Check(client.Fetch(request));
-    std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
-    client.ClearTraceContext();
-    if (trace.has_value()) {
-      std::fputs(trace->Format().c_str(), stdout);
-      if (argc >= 7) ExportChromeJson(*trace, argv[6]);
-    } else {
-      std::printf("(hop attached no trace)\n");
-    }
+    FetchResult result;
+    RunTraced(client, [&] { result = Check(client.Fetch(request)); },
+              argc >= 7 ? argv[6] : nullptr);
     const size_t rows = result.columns.empty() ? 0 : result.columns[0].size();
     std::fprintf(stderr, "(%zu rows x %zu cols, remote)\n", rows,
                  result.columns.size());
@@ -901,13 +897,18 @@ int main(int argc, char** argv) {
         Check(Mistique::ParseIntermediateKeys({argv[3]}, n));
     QueryService service(&mq);
     const SessionId session = service.OpenSession();
-    TracedFetch traced = Check(service.TraceFetch(session, request));
-    std::fputs(traced.trace.Format().c_str(), stdout);
-    const size_t rows =
-        traced.result.columns.empty() ? 0 : traced.result.columns[0].size();
+    std::promise<Answer<FetchResult>> answered;
+    service.Submit(session, request, /*deadline_sec=*/-1,
+                   obs::TraceParent{obs::NewTraceId(), 0},
+                   [&answered](Answer<FetchResult> answer) {
+                     answered.set_value(std::move(answer));
+                   });
+    Answer<FetchResult> answer = answered.get_future().get();
+    const FetchResult result = Check(std::move(answer.result));
+    std::fputs(answer.trace->Format().c_str(), stdout);
+    const size_t rows = result.columns.empty() ? 0 : result.columns[0].size();
     std::fprintf(stderr, "(%zu rows x %zu cols via %s)\n", rows,
-                 traced.result.columns.size(),
-                 traced.result.used_read ? "read" : "re-run");
+                 result.columns.size(), result.used_read ? "read" : "re-run");
     return 0;
   }
   if (command == "stats") {

@@ -16,13 +16,23 @@ std::string ShardLabel(const ShardSpec& spec) {
          std::to_string(spec.port) + ")";
 }
 
-std::string DescribeFetch(const FetchRequest& request) {
+std::string Describe(const FetchRequest& request) {
   return request.project + "." + request.model + "." + request.intermediate;
 }
-
-std::string DescribeScan(const ScanRequest& request) {
+std::string Describe(const ScanRequest& request) {
   return request.project + "." + request.model + "." + request.intermediate +
          " scan(" + request.predicate_column + ")";
+}
+
+/// The strategy a router trace names: fetches forward to their owner,
+/// scans scatter to every shard and gather the answers.
+const char* Strategy(const FetchRequest&) { return "forward"; }
+const char* Strategy(const ScanRequest&) { return "scatter-gather"; }
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 /// One fetch attempt on a leased shard client; the answer stays in its
@@ -287,80 +297,77 @@ Result<std::string> Router::ForwardFetch(size_t shard_index,
   return st;
 }
 
-void Router::HandleFetch(FetchRequest request, net::Responder respond) {
-  fetches_->Increment();
-  const auto start = std::chrono::steady_clock::now();
-  const size_t owner =
-      map_.OwnerIndex(ShardMap::PartitionKey(request.project, request.model));
-  Result<std::string> payload = ForwardFetch(owner, request, nullptr);
-  if (!payload.ok()) {
-    respond(wire::MsgType::kErrorResp, wire::EncodeError(payload.status()));
-    return;
-  }
-  respond(wire::MsgType::kFetchResp, std::move(*payload));
-  // Unsampled traffic still feeds the slow-query log: a spanless
-  // decision record (spans cannot be reconstructed after the fact).
-  const double total = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  const double slow = recorder_->slow_threshold_sec();
-  if (slow > 0 && total >= slow) {
-    obs::QueryTrace trace(obs::NewTraceId(), DescribeFetch(request));
-    trace.node = options_.node_name;
-    trace.strategy = "forward";
-    trace.total_sec = total;
-    recorder_->Record(std::move(trace));
-  }
+template <typename Request>
+std::optional<obs::QueryTrace> Router::StartTrace(
+    const Request& request, const std::optional<wire::TraceContext>& ctx) {
+  const bool client_sampled = ctx.has_value() && ctx->sampled;
+  // Router-side self-sampling: a slice of the traffic no client traced
+  // builds a tree anyway, so the flight recorder holds assembled trees
+  // even when nobody asked. Such a tree never rides the response.
+  if (!client_sampled && !recorder_->Sample()) return std::nullopt;
+  traces_->Increment();
+  obs::QueryTrace root(client_sampled ? ctx->trace_id : obs::NewTraceId(),
+                       Describe(request));
+  root.node = options_.node_name;
+  if (client_sampled) root.parent_span_id = ctx->parent_span_id;
+  root.sampled = true;
+  root.strategy = Strategy(request);
+  return root;
 }
 
-void Router::HandleTracedFetch(FetchRequest request, wire::TraceContext ctx,
-                               bool enveloped, net::Responder respond) {
-  fetches_->Increment();
-  traces_->Increment();
-  obs::QueryTrace root(ctx.trace_id, DescribeFetch(request));
-  root.node = options_.node_name;
-  root.parent_span_id = ctx.parent_span_id;
-  root.sampled = true;
-  root.strategy = "forward";
-  const size_t owner =
-      map_.OwnerIndex(ShardMap::PartitionKey(request.project, request.model));
-  Result<std::string> payload = ForwardFetch(owner, request, &root);
-  root.total_sec = root.Elapsed();
+template <typename Request>
+void Router::RecordIfSlow(const Request& request,
+                          std::chrono::steady_clock::time_point start) {
+  const double total = SecondsSince(start);
+  const double slow = recorder_->slow_threshold_sec();
+  if (slow <= 0 || total < slow) return;
+  obs::QueryTrace trace(obs::NewTraceId(), Describe(request));
+  trace.node = options_.node_name;
+  trace.strategy = Strategy(request);
+  trace.total_sec = total;
+  recorder_->Record(std::move(trace));
+}
+
+void Router::Reply(wire::MsgType type, Result<std::string> payload,
+                   const std::optional<wire::TraceContext>& ctx,
+                   std::optional<obs::QueryTrace> root,
+                   net::Responder respond) {
+  if (root.has_value()) root->total_sec = root->Elapsed();
   if (!payload.ok()) {
     // The failed tree is still worth retaining — a degraded forward in
     // the flight recorder explains itself better than a counter. Errors
     // answer bare (not enveloped) like the shard side does; the client's
     // unwrap path treats kErrorResp uniformly.
-    recorder_->Record(root);
+    if (root.has_value()) recorder_->Record(std::move(*root));
     respond(wire::MsgType::kErrorResp, wire::EncodeError(payload.status()));
     return;
   }
-  if (enveloped) {
+  if (ctx.has_value()) {
+    const bool attach = ctx->sampled && root.has_value();
     respond(wire::MsgType::kTracedResp,
-            wire::EncodeTracedResponse(wire::MsgType::kFetchResp, *payload,
-                                       &root));
+            wire::EncodeTracedResponse(type, *payload,
+                                       attach ? &*root : nullptr));
   } else {
-    respond(wire::MsgType::kFetchResp, std::move(*payload));
+    respond(type, std::move(*payload));
   }
-  recorder_->Record(std::move(root));
+  if (root.has_value()) recorder_->Record(std::move(*root));
 }
 
-void Router::HandleTraceFetch(FetchRequest request, uint64_t trace_id,
-                              net::Responder respond) {
-  traces_->Increment();
-  (void)trace_id;  // the shard stamps its own trace with its request id
+void Router::HandleFetch(FetchRequest request,
+                         std::optional<wire::TraceContext> ctx,
+                         net::Responder respond) {
+  fetches_->Increment();
+  const auto start = std::chrono::steady_clock::now();
+  std::optional<obs::QueryTrace> root = StartTrace(request, ctx);
   const size_t owner =
       map_.OwnerIndex(ShardMap::PartitionKey(request.project, request.model));
-  wire::TraceResultSummary summary;
-  Result<obs::QueryTrace> trace = Forward<obs::QueryTrace>(
-      owner, [&request, &summary](net::Client* client) {
-        return client->TraceFetch(request, &summary);
-      });
-  if (!trace.ok()) {
-    respond(wire::MsgType::kErrorResp, wire::EncodeError(trace.status()));
-    return;
+  Result<std::string> payload =
+      ForwardFetch(owner, request, root.has_value() ? &*root : nullptr);
+  if (!root.has_value() && payload.ok()) {
+    RecordIfSlow(request, start);
   }
-  respond(wire::MsgType::kTraceResp, wire::EncodeQueryTrace(*trace, summary));
+  Reply(wire::MsgType::kFetchResp, std::move(payload), ctx, std::move(root),
+        std::move(respond));
 }
 
 Result<ScanResult> Router::ScatterScan(const ScanRequest& request,
@@ -480,53 +487,24 @@ Result<ScanResult> Router::ScatterScan(const ScanRequest& request,
   return merged;
 }
 
-void Router::HandleScan(ScanRequest request, net::Responder respond) {
+void Router::HandleScan(ScanRequest request,
+                        std::optional<wire::TraceContext> ctx,
+                        net::Responder respond) {
   scans_->Increment();
   const auto start = std::chrono::steady_clock::now();
-  Result<ScanResult> merged = ScatterScan(request, nullptr);
+  std::optional<obs::QueryTrace> root = StartTrace(request, ctx);
+  Result<ScanResult> merged =
+      ScatterScan(request, root.has_value() ? &*root : nullptr);
   if (!merged.ok()) {
-    respond(wire::MsgType::kErrorResp, wire::EncodeError(merged.status()));
+    Reply(wire::MsgType::kScanResp, merged.status(), ctx, std::move(root),
+          std::move(respond));
     return;
   }
-  respond(wire::MsgType::kScanResp, wire::EncodeScanResult(*merged));
-  const double total = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  const double slow = recorder_->slow_threshold_sec();
-  if (slow > 0 && total >= slow) {
-    obs::QueryTrace trace(obs::NewTraceId(), DescribeScan(request));
-    trace.node = options_.node_name;
-    trace.strategy = "scatter-gather";
-    trace.total_sec = total;
-    recorder_->Record(std::move(trace));
+  if (!root.has_value()) {
+    RecordIfSlow(request, start);
   }
-}
-
-void Router::HandleTracedScan(ScanRequest request, wire::TraceContext ctx,
-                              bool enveloped, net::Responder respond) {
-  scans_->Increment();
-  traces_->Increment();
-  obs::QueryTrace root(ctx.trace_id, DescribeScan(request));
-  root.node = options_.node_name;
-  root.parent_span_id = ctx.parent_span_id;
-  root.sampled = true;
-  root.strategy = "scatter-gather";
-  Result<ScanResult> merged = ScatterScan(request, &root);
-  root.total_sec = root.Elapsed();
-  if (!merged.ok()) {
-    recorder_->Record(root);
-    respond(wire::MsgType::kErrorResp, wire::EncodeError(merged.status()));
-    return;
-  }
-  if (enveloped) {
-    respond(wire::MsgType::kTracedResp,
-            wire::EncodeTracedResponse(wire::MsgType::kScanResp,
-                                       wire::EncodeScanResult(*merged),
-                                       &root));
-  } else {
-    respond(wire::MsgType::kScanResp, wire::EncodeScanResult(*merged));
-  }
-  recorder_->Record(std::move(root));
+  Reply(wire::MsgType::kScanResp, wire::EncodeScanResult(*merged), ctx,
+        std::move(root), std::move(respond));
 }
 
 void Router::HandleStats(net::Responder respond) {
@@ -680,36 +658,54 @@ net::FrameDisposition Router::HandleFrame(uint64_t conn_token,
     if (!done->exchange(true)) in_flight_.fetch_sub(1);
   };
 
-  switch (frame.type) {
-    case wire::MsgType::kFetchReq:
-    case wire::MsgType::kTraceFetchReq: {
+  // Fetches and scans take one path each, bare or inside a kTracedReq
+  // envelope; an envelope around anything else dispatches its inner frame
+  // as if it had arrived bare and wraps the answer back up.
+  std::optional<wire::TraceContext> ctx;
+  wire::MsgType type = frame.type;
+  std::string inner_payload;
+  const std::string* payload = &frame.payload;
+  if (type == wire::MsgType::kTracedReq) {
+    ctx.emplace();
+    const Status decoded =
+        wire::DecodeTracedRequest(frame.payload, &*ctx, &type, &inner_payload);
+    if (!decoded.ok()) {
+      tracked(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
+      return net::FrameDisposition::kMalformed;
+    }
+    payload = &inner_payload;
+    if (type != wire::MsgType::kFetchReq && type != wire::MsgType::kScanReq) {
+      // The wrapping responder closes over `tracked` (not `respond`), so
+      // the in-flight count this call already took stays balanced even
+      // though the recursive call takes its own.
+      wire::Frame inner_frame;
+      inner_frame.type = type;
+      inner_frame.request_id = frame.request_id;
+      inner_frame.payload = std::move(inner_payload);
+      net::Responder wrapping =
+          [tracked = std::move(tracked)](wire::MsgType inner_type,
+                                         std::string inner_body) {
+            tracked(wire::MsgType::kTracedResp,
+                    wire::EncodeTracedResponse(inner_type, inner_body,
+                                               nullptr));
+          };
+      return HandleFrame(conn_token, inner_frame, std::move(wrapping));
+    }
+  }
+
+  switch (type) {
+    case wire::MsgType::kFetchReq: {
       uint64_t session = 0;
       FetchRequest request;
       const Status decoded =
-          wire::DecodeFetchRequest(frame.payload, &session, &request);
+          wire::DecodeFetchRequest(*payload, &session, &request);
       if (!decoded.ok()) {
         tracked(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
         return net::FrameDisposition::kMalformed;
       }
-      const bool trace = frame.type == wire::MsgType::kTraceFetchReq;
-      const uint64_t id = frame.request_id;
-      // Router-side self-sampling: a slice of plain traffic routes
-      // through the traced path so the flight recorder holds assembled
-      // trees even when no client asked for tracing. The response stays
-      // byte-identical to the untraced path.
-      const bool self_sample = !trace && recorder_->Sample();
-      workers_->Submit([this, trace, self_sample, id,
-                        request = std::move(request),
+      workers_->Submit([this, ctx, request = std::move(request),
                         tracked = std::move(tracked)]() mutable {
-        if (trace) {
-          HandleTraceFetch(std::move(request), id, std::move(tracked));
-        } else if (self_sample) {
-          wire::TraceContext ctx{obs::NewTraceId(), 0, true};
-          HandleTracedFetch(std::move(request), ctx, /*enveloped=*/false,
-                            std::move(tracked));
-        } else {
-          HandleFetch(std::move(request), std::move(tracked));
-        }
+        HandleFetch(std::move(request), ctx, std::move(tracked));
       });
       return net::FrameDisposition::kOk;
     }
@@ -717,82 +713,16 @@ net::FrameDisposition Router::HandleFrame(uint64_t conn_token,
       uint64_t session = 0;
       ScanRequest request;
       const Status decoded =
-          wire::DecodeScanRequest(frame.payload, &session, &request);
+          wire::DecodeScanRequest(*payload, &session, &request);
       if (!decoded.ok()) {
         tracked(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
         return net::FrameDisposition::kMalformed;
       }
-      const bool self_sample = recorder_->Sample();
-      workers_->Submit([this, self_sample, request = std::move(request),
+      workers_->Submit([this, ctx, request = std::move(request),
                         tracked = std::move(tracked)]() mutable {
-        if (self_sample) {
-          wire::TraceContext ctx{obs::NewTraceId(), 0, true};
-          HandleTracedScan(std::move(request), ctx, /*enveloped=*/false,
-                           std::move(tracked));
-        } else {
-          HandleScan(std::move(request), std::move(tracked));
-        }
+        HandleScan(std::move(request), ctx, std::move(tracked));
       });
       return net::FrameDisposition::kOk;
-    }
-    case wire::MsgType::kTracedReq: {
-      wire::TraceContext ctx;
-      wire::MsgType inner_type = wire::MsgType::kPingReq;
-      std::string inner_payload;
-      const Status decoded = wire::DecodeTracedRequest(
-          frame.payload, &ctx, &inner_type, &inner_payload);
-      if (!decoded.ok()) {
-        tracked(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
-        return net::FrameDisposition::kMalformed;
-      }
-      if (ctx.sampled && inner_type == wire::MsgType::kFetchReq) {
-        uint64_t session = 0;
-        FetchRequest request;
-        const Status inner_decoded =
-            wire::DecodeFetchRequest(inner_payload, &session, &request);
-        if (!inner_decoded.ok()) {
-          tracked(wire::MsgType::kErrorResp, wire::EncodeError(inner_decoded));
-          return net::FrameDisposition::kMalformed;
-        }
-        workers_->Submit([this, ctx, request = std::move(request),
-                          tracked = std::move(tracked)]() mutable {
-          HandleTracedFetch(std::move(request), ctx, /*enveloped=*/true,
-                            std::move(tracked));
-        });
-        return net::FrameDisposition::kOk;
-      }
-      if (ctx.sampled && inner_type == wire::MsgType::kScanReq) {
-        uint64_t session = 0;
-        ScanRequest request;
-        const Status inner_decoded =
-            wire::DecodeScanRequest(inner_payload, &session, &request);
-        if (!inner_decoded.ok()) {
-          tracked(wire::MsgType::kErrorResp, wire::EncodeError(inner_decoded));
-          return net::FrameDisposition::kMalformed;
-        }
-        workers_->Submit([this, ctx, request = std::move(request),
-                          tracked = std::move(tracked)]() mutable {
-          HandleTracedScan(std::move(request), ctx, /*enveloped=*/true,
-                           std::move(tracked));
-        });
-        return net::FrameDisposition::kOk;
-      }
-      // Unsampled or non-fetch/scan inner request: dispatch it as if it
-      // had arrived bare, wrapping the answer back into the envelope.
-      // The wrapping responder closes over `tracked` (not `respond`), so
-      // the in-flight count this branch already took stays balanced even
-      // though the recursive call may take its own.
-      wire::Frame inner_frame;
-      inner_frame.type = inner_type;
-      inner_frame.request_id = frame.request_id;
-      inner_frame.payload = std::move(inner_payload);
-      net::Responder wrapping =
-          [tracked = std::move(tracked)](wire::MsgType type,
-                                         std::string payload) {
-            tracked(wire::MsgType::kTracedResp,
-                    wire::EncodeTracedResponse(type, payload, nullptr));
-          };
-      return HandleFrame(conn_token, inner_frame, std::move(wrapping));
     }
     case wire::MsgType::kStatsReq:
       workers_->Submit([this, tracked = std::move(tracked)]() mutable {

@@ -2,10 +2,12 @@
 #define MISTIQUE_CLUSTER_ROUTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,8 +89,8 @@ struct RouterStats {
 /// across N single-store shard servers behind one wire endpoint
 /// (docs/CLUSTER.md).
 ///
-/// Requests route by the consistent-hash ShardMap: fetches and traced
-/// fetches go straight to the partition's owner (models are whole-shard,
+/// Requests route by the consistent-hash ShardMap: fetches go straight to
+/// the partition's owner (models are whole-shard,
 /// so every fetch is single-shard); scans scatter to every shard and the
 /// results gather-merge sorted by row id. A health thread probes each
 /// shard with kHealthReq; a dead shard degrades only the partitions it
@@ -153,19 +155,34 @@ class Router : public net::FrameHandler {
   Result<ScanResult> ScatterScan(const ScanRequest& request,
                                  obs::QueryTrace* root);
 
-  void HandleFetch(FetchRequest request, net::Responder respond);
-  void HandleTraceFetch(FetchRequest request, uint64_t trace_id,
-                        net::Responder respond);
-  void HandleScan(ScanRequest request, net::Responder respond);
-  /// Distributed-trace fetch/scan: builds this hop's root trace, runs
-  /// the forward/scatter under it, assembles the tree, records it, and
-  /// answers either in a kTracedResp envelope (`enveloped`, requests
-  /// that arrived as kTracedReq) or as the plain response type
-  /// (router-side self-sampling of un-enveloped traffic).
-  void HandleTracedFetch(FetchRequest request, wire::TraceContext ctx,
-                         bool enveloped, net::Responder respond);
-  void HandleTracedScan(ScanRequest request, wire::TraceContext ctx,
-                        bool enveloped, net::Responder respond);
+  /// One handler per request kind. `ctx` is set when the request arrived
+  /// in a kTracedReq envelope; the answer then goes back in one. A
+  /// client-sampled context, or the router's own sampling, builds this
+  /// hop's root trace: the forward/scatter runs under it, the tree is
+  /// assembled and recorded, and it rides the answer only when the client
+  /// sampled it.
+  void HandleFetch(FetchRequest request,
+                   std::optional<wire::TraceContext> ctx,
+                   net::Responder respond);
+  void HandleScan(ScanRequest request, std::optional<wire::TraceContext> ctx,
+                  net::Responder respond);
+  /// This hop's root trace, or nothing when neither the client nor the
+  /// router's sampling policy traces the request.
+  template <typename Request>
+  std::optional<obs::QueryTrace> StartTrace(
+      const Request& request, const std::optional<wire::TraceContext>& ctx);
+  /// Untraced traffic still feeds the slow-query log: a spanless decision
+  /// record (spans cannot be reconstructed after the fact).
+  template <typename Request>
+  void RecordIfSlow(const Request& request,
+                    std::chrono::steady_clock::time_point start);
+  /// Answers a forwarded fetch or scan and records its tree, failed or
+  /// not. Success answers enveloped when the request was (carrying `root`
+  /// only for a client-sampled context), bare otherwise; errors answer
+  /// bare.
+  void Reply(wire::MsgType type, Result<std::string> payload,
+             const std::optional<wire::TraceContext>& ctx,
+             std::optional<obs::QueryTrace> root, net::Responder respond);
   void HandleStats(net::Responder respond);
   void HandleCatalog(net::Responder respond);
 

@@ -11,7 +11,7 @@ namespace mistique {
 /// A bounded least-recently-used cache with O(1) Get/Put/Erase.
 ///
 /// One intrusive recency list plus a key -> list-iterator map — the classic
-/// design shared by the partition buffer pool and the query-result caches.
+/// design, used by QueryService's per-session result caches.
 /// Not synchronized; callers guard it with their own mutex (QueryService
 /// keeps one cache per session behind a per-session lock).
 template <typename K, typename V>

@@ -26,8 +26,6 @@ struct EngineMetrics {
   obs::Counter* scan_total;
   obs::Counter* fetch_read_total;
   obs::Counter* fetch_rerun_total;
-  obs::Counter* engine_cache_hits;
-  obs::Counter* engine_cache_lookups;
   obs::Counter* materializations_total;
   obs::Counter* mispredictions_total;
   obs::Counter* scan_packed_blocks_total;
@@ -47,12 +45,6 @@ struct EngineMetrics {
     fetch_rerun_total = reg.GetCounter(
         "mistique_fetch_rerun_total",
         "Fetches served by re-running the model (t_rerun path).");
-    engine_cache_hits = reg.GetCounter(
-        "mistique_engine_cache_hits_total",
-        "Engine query-cache hits (identical repeated requests).");
-    engine_cache_lookups = reg.GetCounter(
-        "mistique_engine_cache_lookups_total",
-        "Engine query-cache probes.");
     materializations_total = reg.GetCounter(
         "mistique_materializations_total",
         "Adaptive/heal materializations performed (store changed shape).");
@@ -268,13 +260,6 @@ Status Mistique::Open(const MistiqueOptions& options) {
   Metrics();  // register engine counters so expositions list them at zero
   StagedBytesGauge();
   options_ = options;
-  {
-    // query_cache_ is guarded by stats_mutex_ (readers like
-    // query_cache_hits() take it alone), so the reassignment needs it too.
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    query_cache_ =
-        LruCache<uint64_t, FetchResult>(options_.query_cache_entries);
-  }
   if (options_.checkpoint_dir.empty()) {
     options_.checkpoint_dir = options_.store.directory + "/ckpt";
   }
@@ -553,7 +538,6 @@ Status Mistique::HandleCorruptionsLocked(bool scan_all) {
             /*durable=*/true));
       }
     }
-    InvalidateCache();
     // Snapshot readers must stop resolving the vanished chunks: republish
     // with every demoted model copied fresh.
     std::unordered_set<ModelId> dirty;
@@ -675,7 +659,6 @@ Status Mistique::DeleteModel(const std::string& project,
   }
   pipelines_.erase(id);
   networks_.erase(id);
-  InvalidateCache();
   // The rebuilt snapshot no longer lists the model; readers pinned to an
   // older epoch keep their view until the pin drops.
   PublishLocked({});
@@ -1539,12 +1522,120 @@ uint64_t Mistique::RequestKey(const FetchRequest& request) {
   return Mix64(h);
 }
 
-void Mistique::InvalidateCache() {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  query_cache_.Clear();
+namespace {
+
+/// One fetch's read-or-re-run decision (Alg. 3 with Eq. 2-4), made from
+/// catalog state alone. The snapshot and writer paths plan identically
+/// and differ only in what they may execute.
+struct FetchPlan {
+  std::vector<size_t> columns;  ///< resolved column indices
+  std::vector<uint64_t> rows;   ///< resolved row ids, ascending
+  bool materialized = false;    ///< every requested column is stored
+  bool use_read = false;
+  /// The cost model chose freely between two viable strategies, so the
+  /// outcome can be judged as a misprediction.
+  bool free_choice = false;
+  double predicted_read_sec = 0;
+  double predicted_rerun_sec = 0;
+};
+
+Result<FetchPlan> PlanFetch(const CostModel& cost, const ModelInfo& model,
+                            const IntermediateInfo& interm, bool has_executor,
+                            const FetchRequest& request) {
+  FetchPlan plan;
+  MISTIQUE_RETURN_NOT_OK(ResolveColumns(interm, request, &plan.columns));
+  MISTIQUE_RETURN_NOT_OK(ResolveRows(interm, request, &plan.rows));
+  plan.materialized =
+      !interm.columns.empty() &&
+      std::all_of(plan.columns.begin(), plan.columns.end(),
+                  [&](size_t i) { return interm.columns[i].materialized; });
+  const double col_fraction =
+      interm.columns.empty()
+          ? 1.0
+          : static_cast<double>(plan.columns.size()) /
+                static_cast<double>(interm.columns.size());
+  const auto n_rows = static_cast<uint64_t>(plan.rows.size());
+  plan.predicted_rerun_sec = cost.RerunSeconds(model, interm, n_rows);
+  plan.predicted_read_sec = cost.ReadSeconds(interm, n_rows, col_fraction);
+
+  if (request.force_read.has_value()) {
+    plan.use_read = *request.force_read;
+    if (plan.use_read && !plan.materialized) {
+      return Status::InvalidArgument(
+          "force_read requested but intermediate is not materialized");
+    }
+  } else {
+    plan.use_read = plan.materialized &&
+                    (!has_executor ||
+                     plan.predicted_read_sec <= plan.predicted_rerun_sec);
+  }
+  // Models recovered from a persisted catalog have no executor until one
+  // is re-attached; they can only serve reads.
+  if (!plan.use_read && !has_executor) {
+    return Status::NotFound(
+        "model " + request.model +
+        " has no executor attached for re-run (reopened store?) and the "
+        "intermediate is not materialized");
+  }
+  plan.free_choice =
+      !request.force_read.has_value() && plan.materialized && has_executor;
+  return plan;
 }
 
+/// The result shell a plan produces before any data moves; stamps the
+/// decision into the current trace.
+FetchResult BeginFetch(const IntermediateInfo& interm, const FetchPlan& plan,
+                       const FetchRequest& request) {
+  FetchResult out;
+  out.predicted_read_sec = plan.predicted_read_sec;
+  out.predicted_rerun_sec = plan.predicted_rerun_sec;
+  out.column_names.reserve(plan.columns.size());
+  for (size_t i : plan.columns) {
+    out.column_names.push_back(interm.columns[i].name);
+  }
+  out.row_ids = plan.rows;
+  out.used_read = plan.use_read;
+  if (obs::QueryTrace* t = obs::CurrentTrace()) {
+    t->est_rerun_sec = plan.predicted_rerun_sec;
+    t->est_read_sec = plan.predicted_read_sec;
+    t->strategy = request.force_read.has_value()
+                      ? (plan.use_read ? "forced-read" : "forced-rerun")
+                      : (plan.use_read ? "read" : "rerun");
+  }
+  return out;
+}
+
+/// Estimated-vs-actual drift, judged only when the plan was a free choice
+/// and ran as planned.
+void JudgeFetch(const FetchRequest& request, const FetchPlan& plan,
+                const FetchResult& out) {
+  if (!plan.free_choice ||
+      !CostModel::Mispredicted(out.used_read, out.fetch_seconds,
+                               out.predicted_read_sec,
+                               out.predicted_rerun_sec)) {
+    return;
+  }
+  Metrics().mispredictions_total->Increment();
+  LogMisprediction(request, out);
+  if (obs::QueryTrace* t = obs::CurrentTrace()) t->mispredicted = true;
+}
+
+/// A read failure the writer can heal by re-running the model: a checksum
+/// failure (the store already quarantined the partition) or a chunk lost
+/// to an earlier quarantine.
+bool HealableReadFailure(const Status& status, bool has_executor) {
+  return has_executor && (status.code() == StatusCode::kDataLoss ||
+                          status.code() == StatusCode::kNotFound);
+}
+
+}  // namespace
+
 Result<FetchResult> Mistique::Fetch(const FetchRequest& request) {
+  return RunFetch(request, /*count_query=*/true);
+}
+
+Result<FetchResult> Mistique::RunFetch(const FetchRequest& request,
+                                       bool count_query) {
   Metrics().fetch_total->Increment();
   // Lock-free pass against the pinned snapshot: materialized read paths
   // (the common case for a diagnosis service) run fully parallel with
@@ -1560,7 +1651,7 @@ Result<FetchResult> Mistique::Fetch(const FetchRequest& request) {
           static_cast<const EngineSnapshot*>(pin.state().get());
       bool needs_writer = false;
       Result<FetchResult> result =
-          FetchSnapshot(*snap, pin.epoch(), request, &needs_writer);
+          FetchSnapshot(*snap, request, count_query, &needs_writer);
       if (!needs_writer) return result;
     }
   }  // Pin dropped before blocking: the Vacuum reader barrier needs it gone.
@@ -1578,8 +1669,8 @@ Result<FetchResult> Mistique::Fetch(const FetchRequest& request) {
 }
 
 Result<FetchResult> Mistique::FetchSnapshot(const EngineSnapshot& snap,
-                                            uint64_t epoch,
                                             const FetchRequest& request,
+                                            bool count_query,
                                             bool* needs_writer) {
   auto name_it = snap.by_name.find(request.project + "." + request.model);
   if (name_it == snap.by_name.end()) {
@@ -1592,136 +1683,37 @@ Result<FetchResult> Mistique::FetchSnapshot(const EngineSnapshot& snap,
   MISTIQUE_ASSIGN_OR_RETURN(
       size_t interm_index, FindIntermediateIndex(model, request.intermediate));
   const IntermediateInfo& interm = model.intermediates[interm_index];
-  NotePendingQuery(model_id, interm_index);
+  if (count_query) NotePendingQuery(model_id, interm_index);
 
-  // Session result cache: identical repeated queries are free (Sec. 10's
-  // caching direction).
-  const uint64_t cache_key =
-      options_.query_cache_entries > 0 ? RequestKey(request) : 0;
-  if (options_.query_cache_entries > 0) {
-    Metrics().engine_cache_lookups->Increment();
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    if (const FetchResult* cached = query_cache_.Get(cache_key)) {
-      Metrics().engine_cache_hits->Increment();
-      if (obs::QueryTrace* t = obs::CurrentTrace()) {
-        t->strategy = "engine-cache";
-        t->cache_hit = true;
-      }
-      FetchResult hit = *cached;
-      hit.from_cache = true;
-      hit.fetch_seconds = 0;
-      return hit;
-    }
-  }
-
-  std::vector<size_t> col_idx;
-  MISTIQUE_RETURN_NOT_OK(ResolveColumns(interm, request, &col_idx));
-  std::vector<uint64_t> rows;
-  MISTIQUE_RETURN_NOT_OK(ResolveRows(interm, request, &rows));
-
-  const bool materialized =
-      !interm.columns.empty() &&
-      std::all_of(col_idx.begin(), col_idx.end(),
-                  [&](size_t i) { return interm.columns[i].materialized; });
-  const double col_fraction =
-      interm.columns.empty()
-          ? 1.0
-          : static_cast<double>(col_idx.size()) /
-                static_cast<double>(interm.columns.size());
-
-  FetchResult out;
-  out.predicted_rerun_sec = cost_model_.RerunSeconds(
-      model, interm, static_cast<uint64_t>(rows.size()));
-  out.predicted_read_sec = cost_model_.ReadSeconds(
-      interm, static_cast<uint64_t>(rows.size()), col_fraction);
-  if (obs::QueryTrace* t = obs::CurrentTrace()) {
-    t->est_rerun_sec = out.predicted_rerun_sec;
-    t->est_read_sec = out.predicted_read_sec;
-  }
-
-  // Frozen at publish time (readers must not probe the live executor
-  // maps); Attach* republishes to flip it.
-  const bool has_executor = entry.has_executor;
-
-  bool use_read;
-  if (request.force_read.has_value()) {
-    use_read = *request.force_read;
-    if (use_read && !materialized) {
-      return Status::InvalidArgument(
-          "force_read requested but intermediate is not materialized");
-    }
-  } else {
-    use_read = materialized &&
-               (!has_executor ||
-                out.predicted_read_sec <= out.predicted_rerun_sec);
-  }
-  if (!use_read && !has_executor) {
-    return Status::NotFound(
-        "model " + request.model +
-        " has no executor attached for re-run (reopened store?) and the "
-        "intermediate is not materialized");
-  }
-
+  // has_executor is frozen at publish time (readers must not probe the
+  // live executor maps); Attach* republishes to flip it.
+  MISTIQUE_ASSIGN_OR_RETURN(
+      FetchPlan plan,
+      PlanFetch(cost_model_, model, interm, entry.has_executor, request));
   // Re-run execution mutates shared state (pipeline transformers, network
   // weights via checkpoint reload) and may trigger materialization, so it
   // needs the writer mutex.
-  if (!use_read) {
+  if (!plan.use_read) {
     *needs_writer = true;
     return FetchResult{};
   }
 
-  out.column_names.reserve(col_idx.size());
-  for (size_t i : col_idx) out.column_names.push_back(interm.columns[i].name);
-  out.row_ids = rows;
-  out.used_read = use_read;
-  if (obs::QueryTrace* t = obs::CurrentTrace()) {
-    t->strategy = request.force_read.has_value()
-                      ? (use_read ? "forced-read" : "forced-rerun")
-                      : (use_read ? "read" : "rerun");
-  }
-
+  FetchResult out = BeginFetch(interm, plan, request);
   Stopwatch watch;
-  {
-    Status read_status = [&] {
-      obs::TraceSpan span("read");
-      return ReadColumns(model, interm, col_idx, rows, &out);
-    }();
-    if (!read_status.ok()) {
-      const StatusCode code = read_status.code();
-      const bool recoverable = (code == StatusCode::kDataLoss ||
-                                code == StatusCode::kNotFound) &&
-                               has_executor;
-      if (!recoverable) return read_status;
-      // Checksum failure on the read path (the store already quarantined
-      // the partition) or a chunk lost to an earlier quarantine: heal by
-      // re-running the model under the writer mutex.
-      *needs_writer = true;
-      return FetchResult{};
+  const Status read_status = [&] {
+    obs::TraceSpan span("read");
+    return ReadColumns(model, interm, plan.columns, plan.rows, &out);
+  }();
+  if (!read_status.ok()) {
+    if (!HealableReadFailure(read_status, entry.has_executor)) {
+      return read_status;
     }
+    *needs_writer = true;  // the writer re-runs and heals
+    return FetchResult{};
   }
   out.fetch_seconds = watch.ElapsedSeconds();
   Metrics().fetch_read_total->Increment();
-
-  // Estimated-vs-actual drift: only judged when the model made a free
-  // choice between two viable strategies.
-  const bool both_viable =
-      !request.force_read.has_value() && materialized && has_executor;
-  if (both_viable &&
-      CostModel::Mispredicted(/*used_read=*/true, out.fetch_seconds,
-                              out.predicted_read_sec,
-                              out.predicted_rerun_sec)) {
-    Metrics().mispredictions_total->Increment();
-    LogMisprediction(request, out);
-    if (obs::QueryTrace* t = obs::CurrentTrace()) t->mispredicted = true;
-  }
-
-  if (options_.query_cache_entries > 0) {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    // The catalog may have been republished (delete, materialization)
-    // while this result was computed off the old snapshot; only cache it
-    // when the pinned epoch is still current.
-    if (snapshots_.epoch() == epoch) query_cache_.Put(cache_key, out);
-  }
+  JudgeFetch(request, plan, out);
   return out;
 }
 
@@ -1736,163 +1728,66 @@ Result<FetchResult> Mistique::FetchWriterLocked(const FetchRequest& request) {
   IntermediateInfo& interm = model->intermediates[interm_index];
   // The query itself was already counted by the snapshot pass
   // (NotePendingQuery), and Fetch folded the side table before calling.
-
-  const uint64_t cache_key =
-      options_.query_cache_entries > 0 ? RequestKey(request) : 0;
-  if (options_.query_cache_entries > 0) {
-    Metrics().engine_cache_lookups->Increment();
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    if (const FetchResult* cached = query_cache_.Get(cache_key)) {
-      Metrics().engine_cache_hits->Increment();
-      if (obs::QueryTrace* t = obs::CurrentTrace()) {
-        t->strategy = "engine-cache";
-        t->cache_hit = true;
-      }
-      FetchResult hit = *cached;
-      hit.from_cache = true;
-      hit.fetch_seconds = 0;
-      return hit;
-    }
-  }
-
-  std::vector<size_t> col_idx;
-  MISTIQUE_RETURN_NOT_OK(ResolveColumns(interm, request, &col_idx));
-  std::vector<uint64_t> rows;
-  MISTIQUE_RETURN_NOT_OK(ResolveRows(interm, request, &rows));
-
-  const bool materialized =
-      !interm.columns.empty() &&
-      std::all_of(col_idx.begin(), col_idx.end(),
-                  [&](size_t i) { return interm.columns[i].materialized; });
-  const double col_fraction =
-      interm.columns.empty()
-          ? 1.0
-          : static_cast<double>(col_idx.size()) /
-                static_cast<double>(interm.columns.size());
-
-  FetchResult out;
-  out.predicted_rerun_sec = cost_model_.RerunSeconds(
-      *model, interm, static_cast<uint64_t>(rows.size()));
-  out.predicted_read_sec = cost_model_.ReadSeconds(
-      interm, static_cast<uint64_t>(rows.size()), col_fraction);
-  if (obs::QueryTrace* t = obs::CurrentTrace()) {
-    t->est_rerun_sec = out.predicted_rerun_sec;
-    t->est_read_sec = out.predicted_read_sec;
-  }
-
-  // Models recovered from a persisted catalog have no executor until one
-  // is re-attached; they can only serve reads.
   const bool has_executor =
       pipelines_.count(model_id) != 0 || networks_.count(model_id) != 0;
+  MISTIQUE_ASSIGN_OR_RETURN(
+      FetchPlan plan,
+      PlanFetch(cost_model_, *model, interm, has_executor, request));
 
-  bool use_read;
-  if (request.force_read.has_value()) {
-    use_read = *request.force_read;
-    if (use_read && !materialized) {
-      return Status::InvalidArgument(
-          "force_read requested but intermediate is not materialized");
-    }
-  } else {
-    use_read = materialized &&
-               (!has_executor ||
-                out.predicted_read_sec <= out.predicted_rerun_sec);
-  }
-  if (!use_read && !has_executor) {
-    return Status::NotFound(
-        "model " + request.model +
-        " has no executor attached for re-run (reopened store?) and the "
-        "intermediate is not materialized");
-  }
-
-  out.column_names.reserve(col_idx.size());
-  for (size_t i : col_idx) out.column_names.push_back(interm.columns[i].name);
-  out.row_ids = rows;
-  out.used_read = use_read;
-  if (obs::QueryTrace* t = obs::CurrentTrace()) {
-    t->strategy = request.force_read.has_value()
-                      ? (use_read ? "forced-read" : "forced-rerun")
-                      : (use_read ? "read" : "rerun");
-  }
-
+  FetchResult out = BeginFetch(interm, plan, request);
   Stopwatch watch;
   bool read_failed_over = false;  // corruption heal, not a model error
-  if (use_read) {
-    Status read_status = [&] {
+  if (plan.use_read) {
+    const Status read_status = [&] {
       obs::TraceSpan span("read");
-      return ReadColumns(*model, interm, col_idx, rows, &out);
+      return ReadColumns(*model, interm, plan.columns, plan.rows, &out);
     }();
     if (!read_status.ok()) {
-      const StatusCode code = read_status.code();
-      const bool recoverable = (code == StatusCode::kDataLoss ||
-                                code == StatusCode::kNotFound) &&
-                               has_executor;
-      if (!recoverable) return read_status;
-      // Checksum failure on the read path (the store already quarantined
-      // the partition) or a chunk lost to an earlier quarantine: heal by
-      // re-running the model.
+      if (!HealableReadFailure(read_status, has_executor)) return read_status;
       MISTIQUE_RETURN_NOT_OK(HandleCorruptionsLocked(/*scan_all=*/false));
       out.columns.clear();
-      use_read = false;
       out.used_read = false;
       read_failed_over = true;
-      obs::TraceSpan span("rerun");
-      MISTIQUE_RETURN_NOT_OK(
-          RerunColumns(model_id, interm_index, col_idx, rows, &out));
     }
-  } else {
+  }
+  if (!out.used_read) {
     obs::TraceSpan span("rerun");
-    MISTIQUE_RETURN_NOT_OK(
-        RerunColumns(model_id, interm_index, col_idx, rows, &out));
+    MISTIQUE_RETURN_NOT_OK(RerunColumns(model_id, interm_index, plan.columns,
+                                        plan.rows, &out));
   }
   out.fetch_seconds = watch.ElapsedSeconds();
-  (use_read ? Metrics().fetch_read_total : Metrics().fetch_rerun_total)
+  (out.used_read ? Metrics().fetch_read_total : Metrics().fetch_rerun_total)
       ->Increment();
-
-  // Estimated-vs-actual drift (the ISSUE's "force_read flake" made
-  // observable): only judged when the model made a free choice between
-  // two viable strategies.
-  const bool both_viable = !request.force_read.has_value() && materialized &&
-                           has_executor && !read_failed_over;
-  if (both_viable &&
-      CostModel::Mispredicted(use_read, out.fetch_seconds,
-                              out.predicted_read_sec,
-                              out.predicted_rerun_sec)) {
-    Metrics().mispredictions_total->Increment();
-    LogMisprediction(request, out);
-    if (obs::QueryTrace* t = obs::CurrentTrace()) t->mispredicted = true;
-  }
+  if (!read_failed_over) JudgeFetch(request, plan, out);
 
   // Rerun-based self-healing: a corruption demoted this intermediate, and
   // the re-run that just served the query can re-materialize it so future
   // reads come off storage again.
-  if (!use_read && IsHealPending(model_id, interm_index)) {
+  if (!out.used_read && IsHealPending(model_id, interm_index)) {
     obs::TraceSpan span("materialize");
     MISTIQUE_RETURN_NOT_OK(MaterializeColumns(model_id, interm_index, {}));
     MISTIQUE_RETURN_NOT_OK(PersistIntermediateUpdate(model_id, interm_index));
     NoteIntermediateHealed(model_id, interm_index);
     out.materialized_now = true;
     Metrics().materializations_total->Increment();
-    InvalidateCache();
   }
 
   // Adaptive materialization (Alg. 4, column granularity): a re-run query
   // may tip γ over the threshold, materializing the *queried columns* for
   // future queries. γ uses the byte cost of just those columns, so hot
   // narrow columns materialize sooner than whole wide intermediates.
-  if (!use_read && !materialized && !out.materialized_now &&
+  if (!out.used_read && !plan.materialized && !out.materialized_now &&
       options_.strategy == StorageStrategy::kAdaptive) {
     const double gamma = cost_model_.Gamma(
-        *model, interm, EstimateEncodedBytes(interm, col_idx.size()));
+        *model, interm, EstimateEncodedBytes(interm, plan.columns.size()));
     if (gamma >= options_.gamma_min) {
       obs::TraceSpan span("materialize");
       MISTIQUE_RETURN_NOT_OK(
-          MaterializeColumns(model_id, interm_index, col_idx));
+          MaterializeColumns(model_id, interm_index, plan.columns));
       MISTIQUE_RETURN_NOT_OK(
           PersistIntermediateUpdate(model_id, interm_index));
       out.materialized_now = true;
       Metrics().materializations_total->Increment();
-      // Cached decisions are stale once the store changed shape.
-      InvalidateCache();
     }
   }
 
@@ -1903,11 +1798,6 @@ Result<FetchResult> Mistique::FetchWriterLocked(const FetchRequest& request) {
 
   if (obs::QueryTrace* t = obs::CurrentTrace()) {
     t->materialized_now = out.materialized_now;
-  }
-
-  if (options_.query_cache_entries > 0 && !out.materialized_now) {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    query_cache_.Put(cache_key, out);
   }
   return out;
 }
@@ -1921,9 +1811,9 @@ Result<ScanResult> Mistique::Scan(const ScanRequest& request) {
   // Phase 1 (pinned snapshot): resolve the predicate column and, when it
   // is materialized, run the zone-map scan in parallel with other readers
   // and the writer. The unmaterialized fallback and the output-column
-  // fetch go through Fetch, which pins its own snapshot (the scan as a
-  // whole is not atomic against a concurrent publish; each phase
-  // individually is).
+  // fetch go through the fetch planner, which pins its own snapshot (the
+  // scan as a whole is not atomic against a concurrent publish; each phase
+  // individually is). Only this phase counts the query in n_query.
   {
     obs::TraceSpan pin_span("snapshot_pin");
     mvcc::ReadPin pin = snapshots_.Pin();
@@ -2072,7 +1962,8 @@ Result<ScanResult> Mistique::Scan(const ScanRequest& request) {
     fetch.model = request.model;
     fetch.intermediate = request.intermediate;
     fetch.columns = {request.predicate_column};
-    MISTIQUE_ASSIGN_OR_RETURN(FetchResult full, Fetch(fetch));
+    MISTIQUE_ASSIGN_OR_RETURN(FetchResult full,
+                              RunFetch(fetch, /*count_query=*/false));
     out.blocks_scanned = num_row_blocks;
     for (size_t i = 0; i < full.columns[0].size(); ++i) {
       const double v = full.columns[0][i];
@@ -2091,7 +1982,8 @@ Result<ScanResult> Mistique::Scan(const ScanRequest& request) {
     fetch.intermediate = request.intermediate;
     fetch.columns = request.columns;
     fetch.row_ids = out.row_ids;
-    MISTIQUE_ASSIGN_OR_RETURN(FetchResult values, Fetch(fetch));
+    MISTIQUE_ASSIGN_OR_RETURN(FetchResult values,
+                              RunFetch(fetch, /*count_query=*/false));
     out.columns = std::move(values.columns);
   } else {
     out.columns.assign(request.columns.size(), {});

@@ -8,11 +8,11 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/lru_cache.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/cost_model.h"
@@ -56,12 +56,6 @@ struct MistiqueOptions {
 
   /// ADAPTIVE: materialize an intermediate once γ (sec/GB) crosses this.
   double gamma_min = 500.0;
-
-  /// Session query-result cache (paper §10's caching future work): repeated
-  /// identical fetches within a diagnosis session are served from memory.
-  /// Off by default (0) so measurements stay honest; interactive sessions
-  /// should turn it on.
-  size_t query_cache_entries = 0;
 
   /// Worker threads for the column-encode stage of DNN logging
   /// (quantization + packing + fingerprinting are embarrassingly parallel
@@ -295,8 +289,8 @@ class Mistique {
   static Result<std::pair<size_t, size_t>> ChannelColumns(
       const IntermediateInfo& intermediate, int channel);
 
-  /// Fingerprint of a FetchRequest — the key used by the engine's own
-  /// result cache and by QueryService's per-session caches.
+  /// Fingerprint of a FetchRequest — the key of QueryService's
+  /// per-session result caches.
   static uint64_t RequestKey(const FetchRequest& request);
 
   /// Translates GetIntermediates-style keys (project.model.intermediate.
@@ -401,16 +395,18 @@ class Mistique {
   static uint64_t EstimateEncodedBytes(const IntermediateInfo& interm,
                                        size_t num_columns = 0);
 
-  /// Lock-free fetch against a pinned snapshot (`epoch` = the pin's
-  /// epoch, guarding the result-cache insert against concurrent
-  /// publishes). Handles the read path end to end; when the request
-  /// needs the writer (re-run execution, adaptive materialization, or a
-  /// corruption demotion) it sets *needs_writer and returns an empty
-  /// result so Fetch re-enters through writer_mutex_.
+  /// Fetch with or without counting the query in n_query: Scan counts
+  /// itself once and runs its nested fetches uncounted.
+  Result<FetchResult> RunFetch(const FetchRequest& request, bool count_query);
+
+  /// Lock-free fetch against a pinned snapshot. Handles the read path end
+  /// to end; when the request needs the writer (re-run execution,
+  /// adaptive materialization, or a corruption demotion) it sets
+  /// *needs_writer and returns an empty result so RunFetch re-enters
+  /// through writer_mutex_.
   Result<FetchResult> FetchSnapshot(const EngineSnapshot& snap,
-                                    uint64_t epoch,
                                     const FetchRequest& request,
-                                    bool* needs_writer);
+                                    bool count_query, bool* needs_writer);
 
   /// Writer-side fetch on the live catalog (re-run, heal, adaptive
   /// materialization; publishes when the catalog changed). Requires
@@ -439,8 +435,6 @@ class Mistique {
   void NotePendingQuery(ModelId model_id, size_t interm_index);
   void FoldQueryStatsLocked();
 
-  /// Invalidate cached results for one model (called on materialization).
-  void InvalidateCache();
   /// Reference-count bookkeeping for chunk sharing across columns/models.
   void RefChunk(ChunkId id) { chunk_refs_[id]++; }
   void RebuildChunkRefs();
@@ -495,14 +489,10 @@ class Mistique {
   std::unordered_map<ModelId, std::shared_ptr<const ModelInfo>>
       published_cache_;
 
-  /// Guards the small mutable state touched by concurrent snapshot
-  /// readers: the query-result cache and the pending n_query side table.
-  /// Leaf lock — never held while acquiring writer_mutex_.
-  mutable std::mutex stats_mutex_;
-
-  // Session result cache (LRU); hit results are returned by value with
-  // from_cache set. Guarded by stats_mutex_.
-  LruCache<uint64_t, FetchResult> query_cache_;
+  /// Guards the pending n_query side table, the one piece of mutable
+  /// state concurrent snapshot readers touch. Leaf lock — never held while
+  /// acquiring writer_mutex_.
+  std::mutex stats_mutex_;
 
   // Reader-side n_query increments awaiting the next writer fold, keyed
   // (model_id << 32 | interm_index). Guarded by stats_mutex_.
@@ -523,12 +513,6 @@ class Mistique {
   // demoted on their behalf. Guarded by writer_mutex_.
   std::unordered_map<PartitionId, std::set<std::pair<ModelId, size_t>>>
       heal_pending_;
-
- public:
-  uint64_t query_cache_hits() const {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    return query_cache_.hits();
-  }
 };
 
 }  // namespace mistique

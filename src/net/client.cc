@@ -435,40 +435,6 @@ Result<wire::CatalogInfo> Client::Catalog() {
   return catalog;
 }
 
-Result<obs::QueryTrace> Client::TraceFetch(const FetchRequest& request,
-                                           wire::TraceResultSummary* summary) {
-  wire::Frame resp;
-  MISTIQUE_RETURN_NOT_OK(Call(
-      wire::MsgType::kTraceFetchReq, /*with_session=*/true,
-      [&request](SessionId session) {
-        return wire::EncodeFetchRequest(session, request);
-      },
-      wire::MsgType::kTraceResp, &resp));
-  obs::QueryTrace trace;
-  wire::TraceResultSummary local;
-  MISTIQUE_RETURN_NOT_OK(
-      wire::DecodeQueryTrace(resp.payload, &trace, &local));
-  if (summary != nullptr) *summary = local;
-  return trace;
-}
-
-Result<obs::QueryTrace> Client::TraceScan(const ScanRequest& request,
-                                          wire::TraceResultSummary* summary) {
-  wire::Frame resp;
-  MISTIQUE_RETURN_NOT_OK(Call(
-      wire::MsgType::kTraceScanReq, /*with_session=*/true,
-      [&request](SessionId session) {
-        return wire::EncodeScanRequest(session, request);
-      },
-      wire::MsgType::kTraceResp, &resp));
-  obs::QueryTrace trace;
-  wire::TraceResultSummary local;
-  MISTIQUE_RETURN_NOT_OK(
-      wire::DecodeQueryTrace(resp.payload, &trace, &local));
-  if (summary != nullptr) *summary = local;
-  return trace;
-}
-
 Result<std::vector<obs::QueryTrace>> Client::TraceDump(uint32_t max) {
   wire::Frame resp;
   MISTIQUE_RETURN_NOT_OK(Call(

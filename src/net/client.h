@@ -96,19 +96,6 @@ class Client {
   Result<wire::ShardMapInfo> FetchShardMap();
   /// The server's model catalog (shape only) — rebalance discovery.
   Result<wire::CatalogInfo> Catalog();
-  /// A traced fetch: the trace carries the server-side cost-model
-  /// estimates, strategy, and per-stage timings; `summary` (optional)
-  /// receives the result shape. The fetched data itself is not returned.
-  Result<obs::QueryTrace> TraceFetch(const FetchRequest& request,
-                                     wire::TraceResultSummary* summary =
-                                         nullptr);
-  /// A traced scan: same shape as TraceFetch but over the predicate scan
-  /// path — the trace shows zone-map pruning plus the scan_packed /
-  /// decode stage split (docs/SCAN.md). Matching data is not returned.
-  Result<obs::QueryTrace> TraceScan(const ScanRequest& request,
-                                    wire::TraceResultSummary* summary =
-                                        nullptr);
-
   /// --- Distributed tracing (docs/OBSERVABILITY.md) ---
 
   /// Installs a trace context: until cleared, every request travels in a

@@ -11,6 +11,33 @@
 namespace mistique {
 namespace net {
 
+namespace {
+
+Status DecodeRequest(const std::string& payload, uint64_t* session,
+                     FetchRequest* request) {
+  return wire::DecodeFetchRequest(payload, session, request);
+}
+Status DecodeRequest(const std::string& payload, uint64_t* session,
+                     ScanRequest* request) {
+  return wire::DecodeScanRequest(payload, session, request);
+}
+
+wire::MsgType ResponseType(const FetchResult&) {
+  return wire::MsgType::kFetchResp;
+}
+wire::MsgType ResponseType(const ScanResult&) {
+  return wire::MsgType::kScanResp;
+}
+
+std::string EncodeResult(const FetchResult& result) {
+  return wire::EncodeFetchResult(result);
+}
+std::string EncodeResult(const ScanResult& result) {
+  return wire::EncodeScanResult(result);
+}
+
+}  // namespace
+
 ServiceHandler::ServiceHandler(QueryService* service,
                                std::function<ServerStats()> server_stats)
     : service_(service), server_stats_(std::move(server_stats)) {}
@@ -18,8 +45,6 @@ ServiceHandler::ServiceHandler(QueryService* service,
 FrameDisposition ServiceHandler::HandleFrame(uint64_t conn_token,
                                              const wire::Frame& frame,
                                              Responder respond) {
-  const uint64_t id = frame.request_id;
-  (void)id;
   switch (frame.type) {
     case wire::MsgType::kPingReq:
       respond(wire::MsgType::kPingResp, "");
@@ -102,30 +127,12 @@ FrameDisposition ServiceHandler::HandleFrame(uint64_t conn_token,
       }).detach();
       return FrameDisposition::kOk;
     }
-    case wire::MsgType::kFetchReq: {
-      uint64_t session = 0;
-      FetchRequest request;
-      const Status decoded =
-          wire::DecodeFetchRequest(frame.payload, &session, &request);
-      if (!decoded.ok()) {
-        respond(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
-        return FrameDisposition::kMalformed;
-      }
-      // The callback runs on a service worker (or inline on rejection);
-      // the Responder captures only refcounted state, never the Server.
-      service_->SubmitFetchAsync(
-          session, std::move(request), -1,
-          [respond = std::move(respond)](Result<FetchResult> result) {
-            if (!result.ok()) {
-              respond(wire::MsgType::kErrorResp,
-                      wire::EncodeError(result.status()));
-              return;
-            }
-            respond(wire::MsgType::kFetchResp,
-                    wire::EncodeFetchResult(*result));
-          });
-      return FrameDisposition::kOk;
-    }
+    case wire::MsgType::kFetchReq:
+      return SubmitQuery<FetchRequest>(frame.payload, std::nullopt,
+                                       std::move(respond));
+    case wire::MsgType::kScanReq:
+      return SubmitQuery<ScanRequest>(frame.payload, std::nullopt,
+                                      std::move(respond));
     case wire::MsgType::kMetricsReq: {
       // Inline like kStatsReq: the exposition is a pure counter read, no
       // engine work, so it never touches the admission queue.
@@ -164,90 +171,13 @@ FrameDisposition ServiceHandler::HandleFrame(uint64_t conn_token,
       respond(wire::MsgType::kMetricsResp, wire::EncodeMetricsText(text));
       return FrameDisposition::kOk;
     }
-    case wire::MsgType::kTraceFetchReq: {
-      uint64_t session = 0;
-      FetchRequest request;
-      // Same payload as kFetchReq; only the response shape differs.
-      const Status decoded =
-          wire::DecodeFetchRequest(frame.payload, &session, &request);
-      if (!decoded.ok()) {
-        respond(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
-        return FrameDisposition::kMalformed;
-      }
-      // The wire request id doubles as the trace id, so a client can line
-      // up the trace it gets back with the request it sent.
-      service_->SubmitTraceFetchAsync(
-          session, std::move(request), -1, frame.request_id,
-          [respond = std::move(respond)](Result<TracedFetch> result) {
-            if (!result.ok()) {
-              respond(wire::MsgType::kErrorResp,
-                      wire::EncodeError(result.status()));
-              return;
-            }
-            wire::TraceResultSummary summary;
-            summary.rows = result->result.row_ids.size();
-            summary.cols = result->result.columns.size();
-            summary.used_read = result->result.used_read;
-            respond(wire::MsgType::kTraceResp,
-                    wire::EncodeQueryTrace(result->trace, summary));
-          });
-      return FrameDisposition::kOk;
-    }
-    case wire::MsgType::kScanReq: {
-      uint64_t session = 0;
-      ScanRequest request;
-      const Status decoded =
-          wire::DecodeScanRequest(frame.payload, &session, &request);
-      if (!decoded.ok()) {
-        respond(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
-        return FrameDisposition::kMalformed;
-      }
-      service_->SubmitScanAsync(
-          session, std::move(request), -1,
-          [respond = std::move(respond)](Result<ScanResult> result) {
-            if (!result.ok()) {
-              respond(wire::MsgType::kErrorResp,
-                      wire::EncodeError(result.status()));
-              return;
-            }
-            respond(wire::MsgType::kScanResp,
-                    wire::EncodeScanResult(*result));
-          });
-      return FrameDisposition::kOk;
-    }
-    case wire::MsgType::kTraceScanReq: {
-      uint64_t session = 0;
-      ScanRequest request;
-      // Same payload as kScanReq; only the response shape differs.
-      const Status decoded =
-          wire::DecodeScanRequest(frame.payload, &session, &request);
-      if (!decoded.ok()) {
-        respond(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
-        return FrameDisposition::kMalformed;
-      }
-      service_->SubmitTraceScanAsync(
-          session, std::move(request), -1, frame.request_id,
-          [respond = std::move(respond)](Result<TracedScan> result) {
-            if (!result.ok()) {
-              respond(wire::MsgType::kErrorResp,
-                      wire::EncodeError(result.status()));
-              return;
-            }
-            wire::TraceResultSummary summary;
-            summary.rows = result->result.row_ids.size();
-            summary.cols = result->result.columns.size();
-            summary.used_read = true;  // scans always read the store
-            respond(wire::MsgType::kTraceResp,
-                    wire::EncodeQueryTrace(result->trace, summary));
-          });
-      return FrameDisposition::kOk;
-    }
     case wire::MsgType::kTracedReq: {
       // Distributed-trace envelope: an ordinary request riding with a
-      // TraceContext. Sampled fetch/scan run through the traced submit
-      // paths so the response envelope can carry this hop's span tree;
-      // everything else (and unsampled traffic) dispatches recursively
-      // and answers in a trace-less envelope.
+      // TraceContext. Fetches and scans take their one path with the
+      // context attached; everything else dispatches as if it had arrived
+      // bare, wrapping whatever it answers back into the envelope (error
+      // responses ride inside it too, so the client's unwrap path is
+      // uniform).
       wire::TraceContext ctx;
       wire::MsgType inner_type = wire::MsgType::kPingReq;
       std::string inner_payload;
@@ -257,66 +187,14 @@ FrameDisposition ServiceHandler::HandleFrame(uint64_t conn_token,
         respond(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
         return FrameDisposition::kMalformed;
       }
-      if (ctx.sampled && inner_type == wire::MsgType::kFetchReq) {
-        uint64_t session = 0;
-        FetchRequest request;
-        const Status inner_decoded =
-            wire::DecodeFetchRequest(inner_payload, &session, &request);
-        if (!inner_decoded.ok()) {
-          respond(wire::MsgType::kErrorResp,
-                  wire::EncodeError(inner_decoded));
-          return FrameDisposition::kMalformed;
-        }
-        service_->SubmitTraceFetchAsync(
-            session, std::move(request), -1, ctx.trace_id,
-            [respond = std::move(respond),
-             ctx](Result<TracedFetch> result) {
-              if (!result.ok()) {
-                respond(wire::MsgType::kErrorResp,
-                        wire::EncodeError(result.status()));
-                return;
-              }
-              result->trace.parent_span_id = ctx.parent_span_id;
-              respond(wire::MsgType::kTracedResp,
-                      wire::EncodeTracedResponse(
-                          wire::MsgType::kFetchResp,
-                          wire::EncodeFetchResult(result->result),
-                          &result->trace));
-            });
-        return FrameDisposition::kOk;
+      if (inner_type == wire::MsgType::kFetchReq) {
+        return SubmitQuery<FetchRequest>(inner_payload, ctx,
+                                         std::move(respond));
       }
-      if (ctx.sampled && inner_type == wire::MsgType::kScanReq) {
-        uint64_t session = 0;
-        ScanRequest request;
-        const Status inner_decoded =
-            wire::DecodeScanRequest(inner_payload, &session, &request);
-        if (!inner_decoded.ok()) {
-          respond(wire::MsgType::kErrorResp,
-                  wire::EncodeError(inner_decoded));
-          return FrameDisposition::kMalformed;
-        }
-        service_->SubmitTraceScanAsync(
-            session, std::move(request), -1, ctx.trace_id,
-            [respond = std::move(respond),
-             ctx](Result<TracedScan> result) {
-              if (!result.ok()) {
-                respond(wire::MsgType::kErrorResp,
-                        wire::EncodeError(result.status()));
-                return;
-              }
-              result->trace.parent_span_id = ctx.parent_span_id;
-              respond(wire::MsgType::kTracedResp,
-                      wire::EncodeTracedResponse(
-                          wire::MsgType::kScanResp,
-                          wire::EncodeScanResult(result->result),
-                          &result->trace));
-            });
-        return FrameDisposition::kOk;
+      if (inner_type == wire::MsgType::kScanReq) {
+        return SubmitQuery<ScanRequest>(inner_payload, ctx,
+                                        std::move(respond));
       }
-      // Unsampled or non-fetch/scan inner request: dispatch it as if it
-      // had arrived bare, wrapping whatever it answers back into the
-      // envelope (error responses ride inside it too, so the client's
-      // unwrap path is uniform).
       wire::Frame inner_frame;
       inner_frame.type = inner_type;
       inner_frame.request_id = frame.request_id;
@@ -361,6 +239,47 @@ FrameDisposition ServiceHandler::HandleFrame(uint64_t conn_token,
                   "unexpected frame type from client")));
       return FrameDisposition::kFatal;
   }
+}
+
+template <typename Request>
+FrameDisposition ServiceHandler::SubmitQuery(
+    const std::string& payload, std::optional<wire::TraceContext> ctx,
+    Responder respond) {
+  uint64_t session = 0;
+  Request request;
+  const Status decoded = DecodeRequest(payload, &session, &request);
+  if (!decoded.ok()) {
+    respond(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
+    return FrameDisposition::kMalformed;
+  }
+  std::optional<obs::TraceParent> parent;
+  if (ctx.has_value() && ctx->sampled) {
+    parent = obs::TraceParent{ctx->trace_id, ctx->parent_span_id};
+  }
+  // The callback runs on a service worker (or inline on rejection and
+  // cache hits); the Responder captures only refcounted state, never the
+  // Server.
+  service_->Submit(
+      session, std::move(request), -1, parent,
+      [respond = std::move(respond), enveloped = ctx.has_value()](
+          Answer<ResultFor<Request>> answer) {
+        if (!answer.result.ok()) {
+          respond(wire::MsgType::kErrorResp,
+                  wire::EncodeError(answer.result.status()));
+          return;
+        }
+        const wire::MsgType type = ResponseType(*answer.result);
+        std::string body = EncodeResult(*answer.result);
+        if (!enveloped) {
+          respond(type, std::move(body));
+          return;
+        }
+        respond(wire::MsgType::kTracedResp,
+                wire::EncodeTracedResponse(
+                    type, body,
+                    answer.trace.has_value() ? &*answer.trace : nullptr));
+      });
+  return FrameDisposition::kOk;
 }
 
 void ServiceHandler::OnConnectionClosed(uint64_t conn_token) {

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -17,8 +19,8 @@ struct ServerStats;
 /// The single-node FrameHandler: answers every wire request from one
 /// QueryService (the behavior net::Server had before the handler split).
 /// Sessions are tracked per connection so a vanished client cannot leak
-/// its result caches; fetch/scan/trace dispatch through the service's
-/// async submit APIs and respond from worker threads.
+/// its result caches; fetches and scans, bare or enveloped, dispatch
+/// through the service's one Submit path and respond from worker threads.
 ///
 /// All state except the service itself is touched only on the server's
 /// I/O thread (HandleFrame / OnConnectionClosed), so it needs no locks.
@@ -35,6 +37,14 @@ class ServiceHandler : public FrameHandler {
   uint64_t DrainRequests(double deadline_sec) override;
 
  private:
+  /// Decodes one fetch or scan and submits it. A request that arrived in
+  /// a kTracedReq envelope (`ctx` set) answers in one, carrying this
+  /// hop's trace when the context is sampled; errors answer bare.
+  template <typename Request>
+  FrameDisposition SubmitQuery(const std::string& payload,
+                               std::optional<wire::TraceContext> ctx,
+                               Responder respond);
+
   QueryService* service_;
   std::function<ServerStats()> server_stats_;
   /// Sessions each live connection opened (I/O-thread-only).

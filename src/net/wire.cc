@@ -647,17 +647,22 @@ namespace {
 /// + u64.
 constexpr size_t kMinTraceEventBytes = 4 + 4 + 8 + 8 + 8;
 constexpr size_t kMinStageTotalBytes = 4 + 8 + 8 + 8;
+/// Every trace node keeps a 17-byte slot (u64, u64, u8) where the retired
+/// frame 17 carried a result summary. It is written as zeros and skipped
+/// on decode, so the frames that carry traces keep their bytes.
+constexpr size_t kReservedTraceSlotBytes = 8 + 8 + 1;
+
 /// Smallest possible encoded trace (all strings empty, no events/totals/
 /// children): id 8 + desc 4 + strategy 4 + 4 f64 + flags 1 + two counts
-/// 8 + summary 17 + node 4 + parent 8 + sampled 1 + child count 4.
-constexpr size_t kMinTraceBytes = 8 + 4 + 4 + 32 + 1 + 8 + 17 + 4 + 8 + 1 + 4;
+/// 8 + reserved slot + node 4 + parent 8 + sampled 1 + child count 4.
+constexpr size_t kMinTraceBytes =
+    8 + 4 + 4 + 32 + 1 + 8 + kReservedTraceSlotBytes + 4 + 8 + 1 + 4;
 /// Hop count bound on the child-trace recursion: real trees are client ->
 /// router -> shard (depth 2); anything deeper than this is a hostile
 /// payload, not a cluster.
 constexpr int kMaxTraceTreeDepth = 8;
 
-void EncodeTraceInto(Writer& w, const obs::QueryTrace& trace,
-                     const TraceResultSummary& summary) {
+void EncodeTraceInto(Writer& w, const obs::QueryTrace& trace) {
   w.PutU64(trace.trace_id);
   w.PutString(trace.description);
   w.PutString(trace.strategy);
@@ -685,9 +690,9 @@ void EncodeTraceInto(Writer& w, const obs::QueryTrace& trace,
     w.PutF64(t.total_sec);
     w.PutU64(t.bytes);
   }
-  w.PutU64(summary.rows);
-  w.PutU64(summary.cols);
-  w.PutU8(summary.used_read ? 1 : 0);
+  w.PutU64(0);
+  w.PutU64(0);
+  w.PutU8(0);
   // Distributed-trace tail (additive within v1: every in-tree decoder
   // reads it; only the frozen kStatsResp payload is pinned by layout).
   w.PutString(trace.node);
@@ -695,12 +700,11 @@ void EncodeTraceInto(Writer& w, const obs::QueryTrace& trace,
   w.PutU8(trace.sampled ? 1 : 0);
   w.PutU32(static_cast<uint32_t>(trace.children.size()));
   for (const obs::QueryTrace& child : trace.children) {
-    EncodeTraceInto(w, child, TraceResultSummary{});
+    EncodeTraceInto(w, child);
   }
 }
 
-Status DecodeTraceInto(Reader& r, obs::QueryTrace* trace,
-                       TraceResultSummary* summary, int depth) {
+Status DecodeTraceInto(Reader& r, obs::QueryTrace* trace, int depth) {
   if (depth > kMaxTraceTreeDepth) {
     return Status::Corruption("trace tree nests deeper than any cluster");
   }
@@ -745,11 +749,11 @@ Status DecodeTraceInto(Reader& r, obs::QueryTrace* trace,
     MISTIQUE_RETURN_NOT_OK(r.GetF64(&t.total_sec));
     MISTIQUE_RETURN_NOT_OK(r.GetU64(&t.bytes));
   }
-  MISTIQUE_RETURN_NOT_OK(r.GetU64(&summary->rows));
-  MISTIQUE_RETURN_NOT_OK(r.GetU64(&summary->cols));
-  uint8_t used_read = 0;
-  MISTIQUE_RETURN_NOT_OK(r.GetU8(&used_read));
-  summary->used_read = used_read != 0;
+  uint64_t reserved64 = 0;
+  uint8_t reserved8 = 0;
+  MISTIQUE_RETURN_NOT_OK(r.GetU64(&reserved64));
+  MISTIQUE_RETURN_NOT_OK(r.GetU64(&reserved64));
+  MISTIQUE_RETURN_NOT_OK(r.GetU8(&reserved8));
   MISTIQUE_RETURN_NOT_OK(r.GetString(&trace->node));
   MISTIQUE_RETURN_NOT_OK(r.GetU64(&trace->parent_span_id));
   uint8_t sampled = 0;
@@ -762,28 +766,11 @@ Status DecodeTraceInto(Reader& r, obs::QueryTrace* trace,
   }
   trace->children.resize(n_children);
   for (uint32_t i = 0; i < n_children; ++i) {
-    TraceResultSummary child_summary;
-    MISTIQUE_RETURN_NOT_OK(
-        DecodeTraceInto(r, &trace->children[i], &child_summary, depth + 1));
+    MISTIQUE_RETURN_NOT_OK(DecodeTraceInto(r, &trace->children[i], depth + 1));
   }
   return Status::OK();
 }
 }  // namespace
-
-std::string EncodeQueryTrace(const obs::QueryTrace& trace,
-                             const TraceResultSummary& summary) {
-  std::string out;
-  Writer w(&out);
-  EncodeTraceInto(w, trace, summary);
-  return out;
-}
-
-Status DecodeQueryTrace(const std::string& payload, obs::QueryTrace* trace,
-                        TraceResultSummary* summary) {
-  Reader r(payload.data(), payload.size());
-  MISTIQUE_RETURN_NOT_OK(DecodeTraceInto(r, trace, summary, 0));
-  return r.ExpectEnd();
-}
 
 std::string EncodeTracedRequest(const TraceContext& ctx, MsgType inner_type,
                                 std::string_view inner_payload) {
@@ -828,7 +815,7 @@ std::string EncodeTracedResponse(MsgType inner_type,
   w.PutString(inner_payload);
   w.PutU8(trace != nullptr ? 1 : 0);
   if (trace != nullptr) {
-    EncodeTraceInto(w, *trace, TraceResultSummary{});
+    EncodeTraceInto(w, *trace);
   }
   return out;
 }
@@ -852,10 +839,7 @@ Status DecodeTracedResponse(const std::string& payload, MsgType* inner_type,
   MISTIQUE_RETURN_NOT_OK(r.GetU8(&flag));
   *has_trace = flag != 0;
   *trace = obs::QueryTrace();
-  if (*has_trace) {
-    TraceResultSummary summary;
-    MISTIQUE_RETURN_NOT_OK(DecodeTraceInto(r, trace, &summary, 0));
-  }
+  if (*has_trace) MISTIQUE_RETURN_NOT_OK(DecodeTraceInto(r, trace, 0));
   return r.ExpectEnd();
 }
 
@@ -877,7 +861,7 @@ std::string EncodeTraceList(const std::vector<obs::QueryTrace>& traces) {
   Writer w(&out);
   w.PutU32(static_cast<uint32_t>(traces.size()));
   for (const obs::QueryTrace& trace : traces) {
-    EncodeTraceInto(w, trace, TraceResultSummary{});
+    EncodeTraceInto(w, trace);
   }
   return out;
 }
@@ -893,8 +877,7 @@ Status DecodeTraceList(const std::string& payload,
   traces->clear();
   traces->resize(count);
   for (uint32_t i = 0; i < count; ++i) {
-    TraceResultSummary summary;
-    MISTIQUE_RETURN_NOT_OK(DecodeTraceInto(r, &(*traces)[i], &summary, 0));
+    MISTIQUE_RETURN_NOT_OK(DecodeTraceInto(r, &(*traces)[i], 0));
   }
   return r.ExpectEnd();
 }

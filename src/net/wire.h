@@ -59,8 +59,10 @@ enum class MsgType : uint8_t {
   // instead of growing an existing payload).
   kMetricsReq = 14,
   kMetricsResp = 15,      ///< payload: Prometheus-style exposition text
-  kTraceFetchReq = 16,    ///< payload: identical to kFetchReq
-  kTraceResp = 17,        ///< payload: QueryTrace + result summary
+  // 16 and 17 are retired (a one-hop traced fetch and its answer; tracing
+  // now rides the kTracedReq envelope) and stay reserved. They still pass
+  // IsValidMsgType, so such a frame parses and meets each handler's
+  // unexpected-type error.
   // Cluster frames (additive, still protocol v1): a router answers
   // kShardMapReq with its current routing table; kHealthReq is the
   // health-checker's probe — unlike kPingReq it reports load, so a
@@ -74,10 +76,7 @@ enum class MsgType : uint8_t {
   // streaming them over with ordinary fetches.
   kCatalogReq = 22,
   kCatalogResp = 23,      ///< payload: CatalogInfo
-  // Traced scan (additive, v1): same payload as kScanReq, answered with
-  // kTraceResp — how the compressed-domain scan_packed stage timings are
-  // observed remotely (docs/SCAN.md).
-  kTraceScanReq = 24,
+  // 24 is retired (a one-hop traced scan) and stays reserved, like 16/17.
   // Distributed-tracing envelope (additive, v1): kTracedReq wraps any
   // ordinary request payload together with a TraceContext, so trace
   // identity propagates hop to hop without touching the inner payload
@@ -93,7 +92,8 @@ enum class MsgType : uint8_t {
   kSlowLogResp = 30,    ///< payload: u32 count + count QueryTraces
 };
 
-/// True iff `t` names a known frame type (decode guard).
+/// True iff `t` lies in the frame-type range (decode guard). Retired
+/// numbers inside the range pass; handlers reject them.
 bool IsValidMsgType(uint8_t t);
 
 /// Wire error codes carried by kErrorResp. Values 0..99 mirror
@@ -260,19 +260,6 @@ Status DecodeSessionId(const std::string& payload, uint64_t* session);
 
 std::string EncodeMetricsText(const std::string& text);
 Status DecodeMetricsText(const std::string& payload, std::string* text);
-
-/// Compact summary of the fetch a trace describes; the full result is not
-/// shipped with the trace (callers wanting data use kFetchReq).
-struct TraceResultSummary {
-  uint64_t rows = 0;
-  uint64_t cols = 0;
-  bool used_read = false;
-};
-
-std::string EncodeQueryTrace(const obs::QueryTrace& trace,
-                             const TraceResultSummary& summary);
-Status DecodeQueryTrace(const std::string& payload, obs::QueryTrace* trace,
-                        TraceResultSummary* summary);
 
 /// --- Distributed tracing (docs/OBSERVABILITY.md) ---
 

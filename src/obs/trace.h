@@ -64,8 +64,8 @@ class QueryTrace {
   /// --- Cost-model decision record (filled by the engine) ---
   double est_read_sec = -1;   ///< Eq. 4 t_read estimate; -1 = not reached
   double est_rerun_sec = -1;  ///< Eq. 2/3 t_rerun estimate
-  std::string strategy;       ///< "read" | "rerun" | "engine-cache" |
-                              ///< "session-cache" | "forced-read" | ...
+  std::string strategy;       ///< "read" | "rerun" | "session-cache" |
+                              ///< "forced-read" | "forward" | ...
   bool cache_hit = false;
   bool materialized_now = false;
   bool mispredicted = false;  ///< chosen strategy's actual time exceeded
@@ -110,6 +110,14 @@ class QueryTrace {
   std::vector<TraceStageTotal> totals_;
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
+};
+
+/// Where one hop's trace hangs in a distributed trace tree: the caller's
+/// trace id and the span this hop roots under. A query submitted with a
+/// parent is traced whatever the local sampling policy says.
+struct TraceParent {
+  uint64_t trace_id = 0;
+  uint64_t parent_span_id = 0;
 };
 
 /// The trace the current thread is executing under; nullptr when the

@@ -16,13 +16,34 @@ QueryService::QueryService(Mistique* engine, QueryServiceOptions options)
 }
 
 namespace {
-std::string DescribeFetch(const FetchRequest& request) {
+
+std::string Describe(const FetchRequest& request) {
   return request.project + "." + request.model + "." + request.intermediate;
 }
-std::string DescribeScan(const ScanRequest& request) {
+std::string Describe(const ScanRequest& request) {
   return request.project + "." + request.model + "." + request.intermediate +
          " scan(" + request.predicate_column + ")";
 }
+
+Result<FetchResult> Execute(Mistique* engine, const FetchRequest& request) {
+  return engine->Fetch(request);
+}
+Result<ScanResult> Execute(Mistique* engine, const ScanRequest& request) {
+  return engine->Scan(request);
+}
+
+/// The decision record of a query that ran without spans (slow-log
+/// capture).
+void StampOutcome(const Result<FetchResult>& result, obs::QueryTrace* trace) {
+  if (!result.ok()) return;
+  trace->materialized_now = result->materialized_now;
+  trace->strategy = result->used_read ? "read" : "rerun";
+}
+void StampOutcome(const Result<ScanResult>& result, obs::QueryTrace* trace) {
+  (void)result;
+  trace->strategy = "scan";
+}
+
 }  // namespace
 
 QueryService::~QueryService() {
@@ -98,10 +119,30 @@ bool QueryService::ExpiredInQueue(double submit_sec, double deadline_sec) {
   return NowSeconds() - submit_sec > deadline_sec;
 }
 
+obs::QueryTrace QueryService::NewTrace(
+    std::string description,
+    const std::optional<obs::TraceParent>& parent) const {
+  obs::QueryTrace trace(parent ? parent->trace_id : obs::NewTraceId(),
+                        std::move(description));
+  trace.node = options_.node_name;
+  if (parent) trace.parent_span_id = parent->parent_span_id;
+  return trace;
+}
+
+std::optional<obs::QueryTrace> QueryService::RecordTrace(obs::QueryTrace trace,
+                                                         bool return_it) {
+  if (!return_it) {
+    recorder_->Record(std::move(trace));
+    return std::nullopt;
+  }
+  recorder_->Record(trace);
+  return trace;
+}
+
 template <typename T>
 void QueryService::RunTask(double submit_sec, double deadline_sec,
-                           const std::function<void(Result<T>)>& done,
-                           const std::function<Result<T>()>& body) {
+                           const std::function<void(Answer<T>)>& done,
+                           const std::function<Answer<T>()>& body) {
   queued_.fetch_sub(1, std::memory_order_relaxed);
   running_.fetch_add(1, std::memory_order_relaxed);
   // Dequeue delay: how long the request sat behind the admission queue
@@ -110,24 +151,27 @@ void QueryService::RunTask(double submit_sec, double deadline_sec,
   queue_wait_hist_.Record(NowSeconds() - submit_sec);
   if (options_.pre_execute_hook) options_.pre_execute_hook();
 
-  Result<T> result = [&]() -> Result<T> {
+  Answer<T> answer = [&]() -> Answer<T> {
     if (abandon_.load(std::memory_order_acquire)) {
-      return Status::Unavailable("abandoned: drain deadline passed");
+      return {Status::Unavailable("abandoned: drain deadline passed"),
+              std::nullopt};
     }
     if (ExpiredInQueue(submit_sec, deadline_sec)) {
-      return Status::DeadlineExceeded(
-          "deadline of " + std::to_string(deadline_sec) +
-          "s passed while queued");
+      return {Status::DeadlineExceeded("deadline of " +
+                                       std::to_string(deadline_sec) +
+                                       "s passed while queued"),
+              std::nullopt};
     }
     return body();
   }();
 
-  if (result.ok()) {
+  const Status status = answer.result.status();
+  if (status.ok()) {
     completed_.fetch_add(1, std::memory_order_relaxed);
     RecordLatency(NowSeconds() - submit_sec);
-  } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
+  } else if (status.code() == StatusCode::kDeadlineExceeded) {
     expired_.fetch_add(1, std::memory_order_relaxed);
-  } else if (result.status().code() == StatusCode::kUnavailable) {
+  } else if (status.code() == StatusCode::kUnavailable) {
     abandoned_.fetch_add(1, std::memory_order_relaxed);
   } else {
     failed_.fetch_add(1, std::memory_order_relaxed);
@@ -137,7 +181,7 @@ void QueryService::RunTask(double submit_sec, double deadline_sec,
   // until its completion callback ran, so Drain returning means every
   // admitted request's response has actually been handed back (the TCP
   // server relies on this to flush responses before closing sockets).
-  done(std::move(result));
+  done(std::move(answer));
   inflight_.fetch_sub(1, std::memory_order_relaxed);
   if (draining_.load(std::memory_order_acquire)) {
     // Drain waits for inflight_ == 0; wake it after every completion
@@ -147,199 +191,154 @@ void QueryService::RunTask(double submit_sec, double deadline_sec,
   }
 }
 
-void QueryService::SubmitFetchAsync(
-    SessionId session, FetchRequest request, double deadline_sec,
-    std::function<void(Result<FetchResult>)> done) {
+template <typename Request>
+void QueryService::Submit(
+    SessionId session, Request request, double deadline_sec,
+    std::optional<obs::TraceParent> parent,
+    std::function<void(Answer<ResultFor<Request>>)> done) {
+  using T = ResultFor<Request>;
+  constexpr bool kCached = std::is_same_v<Request, FetchRequest>;
   if (deadline_sec < 0) deadline_sec = options_.default_deadline_sec;
 
   Status reject;
   std::shared_ptr<Session> s = Admit(session, &reject);
   if (s == nullptr) {
-    done(reject);
+    done({reject, std::nullopt});
     return;
   }
 
-  // Sampling decision happens at admission (one thread-local RNG draw):
-  // a sampled request carries a full span trace through the engine and
-  // lands in the flight recorder even though the caller asked for a
-  // plain fetch.
-  const bool sampled = recorder_->Sample();
+  // A caller's trace parent always traces. Otherwise the sampling
+  // decision happens at admission (one thread-local RNG draw): a sampled
+  // request carries a full span trace through the engine and lands in the
+  // flight recorder even though the caller asked for a plain query.
+  const bool traced = parent.has_value() || recorder_->Sample();
 
-  // Per-session result cache: hits bypass the queue entirely, so a
-  // session replaying its working set costs no worker time.
-  const uint64_t key = Mistique::RequestKey(request);
-  if (options_.session_cache_entries > 0) {
-    cache_lookups_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<std::mutex> cache_lock(s->m);
-    if (const FetchResult* cached = s->cache.Get(key)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      FetchResult hit = *cached;
-      hit.from_cache = true;
-      hit.fetch_seconds = 0;
-      cache_lock.unlock();
-      if (sampled) {
-        obs::QueryTrace trace(obs::NewTraceId(), DescribeFetch(request));
-        trace.node = options_.node_name;
-        trace.sampled = true;
-        trace.strategy = "session-cache";
-        trace.cache_hit = true;
-        recorder_->Record(std::move(trace));
+  uint64_t key = 0;
+  if constexpr (kCached) {
+    // Per-session result cache: hits bypass the queue entirely, so a
+    // session replaying its working set costs no worker time.
+    key = Mistique::RequestKey(request);
+    if (options_.session_cache_entries > 0) {
+      cache_lookups_.fetch_add(1, std::memory_order_relaxed);
+      std::unique_lock<std::mutex> cache_lock(s->m);
+      if (const FetchResult* cached = s->cache.Get(key)) {
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        completed_.fetch_add(1, std::memory_order_relaxed);
+        FetchResult hit = *cached;
+        hit.from_cache = true;
+        hit.fetch_seconds = 0;
+        cache_lock.unlock();
+        std::optional<obs::QueryTrace> trace;
+        if (traced) {
+          obs::QueryTrace t = NewTrace(Describe(request), parent);
+          t.sampled = true;
+          t.strategy = "session-cache";
+          t.cache_hit = true;
+          trace = RecordTrace(std::move(t), parent.has_value());
+        }
+        done({std::move(hit), std::move(trace)});
+        return;
       }
-      done(std::move(hit));
-      return;
     }
   }
 
   if (!TryEnqueue(&reject)) {
-    done(reject);
+    done({reject, std::nullopt});
     return;
   }
   const double submit_sec = NowSeconds();
-  pool_->Submit([this, s, key, submit_sec, deadline_sec, sampled,
+  pool_->Submit([this, s, key, submit_sec, deadline_sec, traced, parent,
                  done = std::move(done),
                  request = std::move(request)]() mutable {
-    RunTask<FetchResult>(
-        submit_sec, deadline_sec, done,
-        [&]() -> Result<FetchResult> {
-          const uint64_t epoch_before =
-              cache_epoch_.load(std::memory_order_acquire);
-          const uint64_t engine_epoch_before = engine_->CurrentEpoch();
-          const double queue_wait = NowSeconds() - submit_sec;
-          Result<FetchResult> result = Status::Internal("unreached");
-          if (sampled) {
-            obs::QueryTrace trace(obs::NewTraceId(), DescribeFetch(request));
-            trace.node = options_.node_name;
-            trace.sampled = true;
-            trace.queue_wait_sec = queue_wait;
-            {
-              obs::TraceScope scope(&trace);
-              result = engine_->Fetch(request);
-            }
-            trace.total_sec = trace.Elapsed();
-            recorder_->Record(std::move(trace));
-          } else {
-            const double t0 = NowSeconds();
-            result = engine_->Fetch(request);
-            // Unsampled-but-slow: retroactive capture. Spans cannot be
-            // reconstructed after the fact, so the slow log gets a
-            // spanless decision record (strategy, waits, total).
-            const double total = NowSeconds() - t0;
-            const double threshold = recorder_->slow_threshold_sec();
-            if (threshold > 0 && total >= threshold) {
-              obs::QueryTrace trace(obs::NewTraceId(),
-                                    DescribeFetch(request));
-              trace.node = options_.node_name;
-              trace.queue_wait_sec = queue_wait;
-              trace.total_sec = total;
-              if (result.ok()) {
-                trace.cache_hit = result->from_cache;
-                trace.materialized_now = result->materialized_now;
-                trace.strategy = result->from_cache ? "engine-cache"
-                                 : result->used_read ? "read"
-                                                     : "rerun";
-              }
-              recorder_->Record(std::move(trace));
-            }
+    RunTask<T>(submit_sec, deadline_sec, done, [&]() -> Answer<T> {
+      [[maybe_unused]] const uint64_t epoch_before =
+          cache_epoch_.load(std::memory_order_acquire);
+      [[maybe_unused]] const uint64_t engine_epoch_before =
+          engine_->CurrentEpoch();
+      const double queue_wait = NowSeconds() - submit_sec;
+      Answer<T> answer{Status::Internal("unreached"), std::nullopt};
+      if (traced) {
+        // The trace clock starts at dequeue; time spent queued is
+        // reported separately so span offsets line up with the
+        // engine-side work they describe. Every TraceSpan / AccumSpan
+        // the engine and storage layers open lands in this trace.
+        obs::QueryTrace trace = NewTrace(Describe(request), parent);
+        trace.sampled = true;
+        trace.queue_wait_sec = queue_wait;
+        {
+          obs::TraceScope scope(&trace);
+          answer.result = Execute(engine_, request);
+        }
+        trace.total_sec = trace.Elapsed();
+        answer.trace = RecordTrace(std::move(trace), parent.has_value());
+      } else {
+        const double t0 = NowSeconds();
+        answer.result = Execute(engine_, request);
+        // Unsampled-but-slow: retroactive capture. Spans cannot be
+        // reconstructed after the fact, so the slow log gets a spanless
+        // decision record (strategy, waits, total).
+        const double total = NowSeconds() - t0;
+        const double threshold = recorder_->slow_threshold_sec();
+        if (threshold > 0 && total >= threshold) {
+          obs::QueryTrace trace = NewTrace(Describe(request), std::nullopt);
+          trace.queue_wait_sec = queue_wait;
+          trace.total_sec = total;
+          StampOutcome(answer.result, &trace);
+          recorder_->Record(std::move(trace));
+        }
+      }
+      if constexpr (kCached) {
+        if (!answer.result.ok()) return answer;
+        if (answer.result->materialized_now) {
+          // The store changed shape; cached results are stale in every
+          // session.
+          InvalidateSessionCaches();
+        } else if (options_.session_cache_entries > 0) {
+          std::lock_guard<std::mutex> cache_lock(s->m);
+          // Skip the Put if an invalidation sweep ran since we started
+          // the engine call (this result predates the materialization
+          // that triggered the sweep), or the engine republished its
+          // catalog meanwhile (concurrent ingest / delete — the result
+          // reflects a superseded epoch).
+          if (cache_epoch_.load(std::memory_order_acquire) == epoch_before &&
+              engine_->CurrentEpoch() == engine_epoch_before) {
+            s->cache.Put(key, *answer.result);
           }
-          if (!result.ok()) return result;
-          if (result->materialized_now) {
-            // The store changed shape; cached plans/results are stale in
-            // every session.
-            InvalidateSessionCaches();
-          } else if (options_.session_cache_entries > 0 &&
-                     !result->from_cache) {
-            std::lock_guard<std::mutex> cache_lock(s->m);
-            // Skip the Put if an invalidation sweep ran since we started
-            // the engine call (this result's plan/strategy metadata
-            // predates the materialization that triggered the sweep), or
-            // the engine republished its catalog meanwhile (concurrent
-            // ingest / delete — the result reflects a superseded epoch).
-            if (cache_epoch_.load(std::memory_order_acquire) ==
-                    epoch_before &&
-                engine_->CurrentEpoch() == engine_epoch_before) {
-              s->cache.Put(key, *result);
-            }
-          }
-          return result;
-        });
+        }
+      }
+      return answer;
+    });
   });
 }
 
-void QueryService::SubmitScanAsync(
-    SessionId session, ScanRequest request, double deadline_sec,
-    std::function<void(Result<ScanResult>)> done) {
-  if (deadline_sec < 0) deadline_sec = options_.default_deadline_sec;
+template void QueryService::Submit<FetchRequest>(
+    SessionId, FetchRequest, double, std::optional<obs::TraceParent>,
+    std::function<void(Answer<FetchResult>)>);
+template void QueryService::Submit<ScanRequest>(
+    SessionId, ScanRequest, double, std::optional<obs::TraceParent>,
+    std::function<void(Answer<ScanResult>)>);
 
-  Status reject;
-  std::shared_ptr<Session> s = Admit(session, &reject);
-  if (s == nullptr) {
-    done(reject);
-    return;
-  }
-
-  const bool sampled = recorder_->Sample();
-  if (!TryEnqueue(&reject)) {
-    done(reject);
-    return;
-  }
-  const double submit_sec = NowSeconds();
-  pool_->Submit([this, submit_sec, deadline_sec, sampled,
-                 done = std::move(done),
-                 request = std::move(request)]() mutable {
-    RunTask<ScanResult>(
-        submit_sec, deadline_sec, done, [&]() -> Result<ScanResult> {
-          const double queue_wait = NowSeconds() - submit_sec;
-          if (sampled) {
-            obs::QueryTrace trace(obs::NewTraceId(), DescribeScan(request));
-            trace.node = options_.node_name;
-            trace.sampled = true;
-            trace.queue_wait_sec = queue_wait;
-            Result<ScanResult> result = [&] {
-              obs::TraceScope scope(&trace);
-              return engine_->Scan(request);
-            }();
-            trace.total_sec = trace.Elapsed();
-            recorder_->Record(std::move(trace));
-            return result;
-          }
-          const double t0 = NowSeconds();
-          Result<ScanResult> result = engine_->Scan(request);
-          const double total = NowSeconds() - t0;
-          const double threshold = recorder_->slow_threshold_sec();
-          if (threshold > 0 && total >= threshold) {
-            obs::QueryTrace trace(obs::NewTraceId(), DescribeScan(request));
-            trace.node = options_.node_name;
-            trace.queue_wait_sec = queue_wait;
-            trace.total_sec = total;
-            trace.strategy = "scan";
-            recorder_->Record(std::move(trace));
-          }
-          return result;
-        });
-  });
+template <typename Request>
+std::future<Result<ResultFor<Request>>> QueryService::SubmitForFuture(
+    SessionId session, Request request, double deadline_sec) {
+  using T = ResultFor<Request>;
+  auto promise = std::make_shared<std::promise<Result<T>>>();
+  std::future<Result<T>> future = promise->get_future();
+  Submit(session, std::move(request), deadline_sec, std::nullopt,
+         [promise](Answer<T> answer) {
+           promise->set_value(std::move(answer.result));
+         });
+  return future;
 }
 
 std::future<Result<FetchResult>> QueryService::SubmitFetch(
     SessionId session, FetchRequest request, double deadline_sec) {
-  auto promise = std::make_shared<std::promise<Result<FetchResult>>>();
-  std::future<Result<FetchResult>> future = promise->get_future();
-  SubmitFetchAsync(session, std::move(request), deadline_sec,
-                   [promise](Result<FetchResult> result) {
-                     promise->set_value(std::move(result));
-                   });
-  return future;
+  return SubmitForFuture(session, std::move(request), deadline_sec);
 }
 
 std::future<Result<ScanResult>> QueryService::SubmitScan(
     SessionId session, ScanRequest request, double deadline_sec) {
-  auto promise = std::make_shared<std::promise<Result<ScanResult>>>();
-  std::future<Result<ScanResult>> future = promise->get_future();
-  SubmitScanAsync(session, std::move(request), deadline_sec,
-                  [promise](Result<ScanResult> result) {
-                    promise->set_value(std::move(result));
-                  });
-  return future;
+  return SubmitForFuture(session, std::move(request), deadline_sec);
 }
 
 uint64_t QueryService::Drain(double deadline_sec) {
@@ -509,162 +508,6 @@ std::string QueryService::MetricsText() const {
       "(queued + running + in delivery). Zero after a clean drain.",
       static_cast<double>(inflight()), &out);
   return out;
-}
-
-void QueryService::SubmitTraceFetchAsync(
-    SessionId session, FetchRequest request, double deadline_sec,
-    uint64_t trace_id, std::function<void(Result<TracedFetch>)> done) {
-  if (deadline_sec < 0) deadline_sec = options_.default_deadline_sec;
-
-  Status reject;
-  std::shared_ptr<Session> s = Admit(session, &reject);
-  if (s == nullptr) {
-    done(reject);
-    return;
-  }
-
-  const std::string description =
-      request.project + "." + request.model + "." + request.intermediate;
-  const uint64_t key = Mistique::RequestKey(request);
-  if (options_.session_cache_entries > 0) {
-    cache_lookups_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<std::mutex> cache_lock(s->m);
-    if (const FetchResult* cached = s->cache.Get(key)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      TracedFetch hit;
-      hit.result = *cached;
-      hit.result.from_cache = true;
-      hit.result.fetch_seconds = 0;
-      cache_lock.unlock();
-      hit.trace = obs::QueryTrace(trace_id, description);
-      hit.trace.strategy = "session-cache";
-      hit.trace.cache_hit = true;
-      hit.trace.node = options_.node_name;
-      hit.trace.sampled = true;
-      recorder_->Record(hit.trace);
-      done(std::move(hit));
-      return;
-    }
-  }
-
-  if (!TryEnqueue(&reject)) {
-    done(reject);
-    return;
-  }
-  const double submit_sec = NowSeconds();
-  pool_->Submit([this, s, key, submit_sec, deadline_sec, trace_id,
-                 description = std::move(description), done = std::move(done),
-                 request = std::move(request)]() mutable {
-    RunTask<TracedFetch>(
-        submit_sec, deadline_sec, done,
-        [&]() -> Result<TracedFetch> {
-          TracedFetch out;
-          // The trace clock starts at dequeue; time spent queued is
-          // reported separately so span offsets line up with the
-          // engine-side work they describe.
-          out.trace = obs::QueryTrace(trace_id, description);
-          out.trace.node = options_.node_name;
-          out.trace.sampled = true;
-          out.trace.queue_wait_sec = NowSeconds() - submit_sec;
-          const uint64_t epoch_before =
-              cache_epoch_.load(std::memory_order_acquire);
-          const uint64_t engine_epoch_before = engine_->CurrentEpoch();
-          // Install the trace for this thread: every TraceSpan /
-          // AccumSpan the engine and storage layers open during this
-          // Fetch lands in out.trace.
-          Result<FetchResult> result = [&] {
-            obs::TraceScope scope(&out.trace);
-            return engine_->Fetch(request);
-          }();
-          out.trace.total_sec = out.trace.Elapsed();
-          recorder_->Record(out.trace);
-          if (!result.ok()) return result.status();
-          if (result->materialized_now) {
-            InvalidateSessionCaches();
-          } else if (options_.session_cache_entries > 0 &&
-                     !result->from_cache) {
-            std::lock_guard<std::mutex> cache_lock(s->m);
-            if (cache_epoch_.load(std::memory_order_acquire) ==
-                    epoch_before &&
-                engine_->CurrentEpoch() == engine_epoch_before) {
-              s->cache.Put(key, *result);
-            }
-          }
-          out.result = std::move(*result);
-          return out;
-        });
-  });
-}
-
-Result<TracedFetch> QueryService::TraceFetch(SessionId session,
-                                             const FetchRequest& request,
-                                             uint64_t trace_id) {
-  auto promise = std::make_shared<std::promise<Result<TracedFetch>>>();
-  std::future<Result<TracedFetch>> future = promise->get_future();
-  SubmitTraceFetchAsync(session, request, /*deadline_sec=*/-1, trace_id,
-                        [promise](Result<TracedFetch> result) {
-                          promise->set_value(std::move(result));
-                        });
-  return future.get();
-}
-
-void QueryService::SubmitTraceScanAsync(
-    SessionId session, ScanRequest request, double deadline_sec,
-    uint64_t trace_id, std::function<void(Result<TracedScan>)> done) {
-  if (deadline_sec < 0) deadline_sec = options_.default_deadline_sec;
-
-  Status reject;
-  std::shared_ptr<Session> s = Admit(session, &reject);
-  if (s == nullptr) {
-    done(reject);
-    return;
-  }
-
-  // Scans are never session-cached (results depend on predicate bounds,
-  // not just the intermediate), so unlike TraceFetch there is no cache
-  // branch: every traced scan runs through the engine.
-  const std::string description =
-      request.project + "." + request.model + "." + request.intermediate;
-
-  if (!TryEnqueue(&reject)) {
-    done(reject);
-    return;
-  }
-  const double submit_sec = NowSeconds();
-  pool_->Submit([this, submit_sec, deadline_sec, trace_id,
-                 description = std::move(description), done = std::move(done),
-                 request = std::move(request)]() mutable {
-    RunTask<TracedScan>(submit_sec, deadline_sec, done,
-                        [&]() -> Result<TracedScan> {
-                          TracedScan out;
-                          out.trace = obs::QueryTrace(trace_id, description);
-                          out.trace.node = options_.node_name;
-                          out.trace.sampled = true;
-                          out.trace.queue_wait_sec = NowSeconds() - submit_sec;
-                          Result<ScanResult> result = [&] {
-                            obs::TraceScope scope(&out.trace);
-                            return engine_->Scan(request);
-                          }();
-                          out.trace.total_sec = out.trace.Elapsed();
-                          recorder_->Record(out.trace);
-                          if (!result.ok()) return result.status();
-                          out.result = std::move(*result);
-                          return out;
-                        });
-  });
-}
-
-Result<TracedScan> QueryService::TraceScan(SessionId session,
-                                           const ScanRequest& request,
-                                           uint64_t trace_id) {
-  auto promise = std::make_shared<std::promise<Result<TracedScan>>>();
-  std::future<Result<TracedScan>> future = promise->get_future();
-  SubmitTraceScanAsync(session, request, /*deadline_sec=*/-1, trace_id,
-                       [promise](Result<TracedScan> result) {
-                         promise->set_value(std::move(result));
-                       });
-  return future.get();
 }
 
 }  // namespace mistique

@@ -9,7 +9,9 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -40,11 +42,6 @@ struct QueryServiceOptions {
   /// already exceeds its deadline fails with kDeadlineExceeded without
   /// touching the engine.
   double default_deadline_sec = 0;
-  /// Superseded: latencies now feed a lock-free fixed-bucket histogram
-  /// (obs::Histogram) instead of a mutex-guarded ring, so there is no
-  /// window to size. Kept so existing construction sites keep compiling;
-  /// the value is ignored.
-  size_t latency_window = 1024;
   /// Test hook: runs on the worker thread immediately after a task is
   /// dequeued, before the deadline check. Lets tests park workers
   /// deterministically to exercise queue-full and deadline paths.
@@ -88,20 +85,19 @@ struct ServiceStats {
   size_t open_sessions = 0;
 };
 
-/// A fetch result bundled with its per-query trace (docs/OBSERVABILITY.md):
-/// the cost model's estimates, the strategy chosen, and actual per-stage
-/// timings from queue wait down to disk reads.
-struct TracedFetch {
-  FetchResult result;
-  obs::QueryTrace trace;
-};
+/// The result type each request kind answers with.
+template <typename Request>
+using ResultFor = std::conditional_t<std::is_same_v<Request, ScanRequest>,
+                                     ScanResult, FetchResult>;
 
-/// A scan result bundled with its per-query trace — how the
-/// compressed-domain `scan_packed` stage (docs/SCAN.md) is observed
-/// end to end.
-struct TracedScan {
-  ScanResult result;
-  obs::QueryTrace trace;
+/// What QueryService::Submit delivers: the query's result and, when the
+/// request carried a trace parent, this hop's trace (docs/OBSERVABILITY.md):
+/// the cost model's estimates, the strategy chosen, and actual per-stage
+/// timings from queue wait down to disk reads or the scan kernels.
+template <typename T>
+struct Answer {
+  Result<T> result;
+  std::optional<obs::QueryTrace> trace;
 };
 
 /// Serves concurrent Fetch/GetIntermediates/Scan traffic from many
@@ -111,7 +107,7 @@ struct TracedScan {
 /// Requests enter a bounded admission queue and are executed by a worker
 /// pool; the engine's reader/writer lock lets materialized reads proceed in
 /// parallel while re-runs/materializations serialize. Each session owns an
-/// LRU result cache (replacing the engine's single global cache), so one
+/// LRU result cache (the only result cache; the engine keeps none), so one
 /// session's working set cannot evict another's. Backpressure is explicit:
 /// a full queue rejects with kResourceExhausted, and a request whose
 /// deadline expires while queued fails with kDeadlineExceeded instead of
@@ -134,31 +130,35 @@ class QueryService {
   /// normally. NotFound for unknown ids.
   Status CloseSession(SessionId id);
 
-  /// Asynchronous fetch. `deadline_sec` < 0 uses the service default,
-  /// 0 = no deadline, > 0 = seconds from now. The future always becomes
-  /// ready, carrying the result or the rejection status.
+  /// The one request path for fetches and scans, traced or not:
+  /// admission, the session result cache, the bounded queue, deadline
+  /// expiry, sampling, slow-log capture and flight-recorder recording.
+  /// `deadline_sec` < 0 uses the service default, 0 = no deadline, > 0 =
+  /// seconds from now. Only fetches are cached: a scan's answer depends on
+  /// its predicate bounds, and its cost is dominated by the zone-map scan,
+  /// which reads shared buffer pool state anyway.
+  ///
+  /// With a `parent` the query is always traced: its trace roots under
+  /// the parent, lands in the flight recorder and comes back in the
+  /// answer (a session-cache hit gets a minimal "session-cache" trace).
+  /// Without one the recorder's sampling policy decides, and the answer
+  /// carries no trace. `done` runs exactly once — on the calling thread
+  /// for rejections (unknown session, queue full, draining) and cache
+  /// hits, otherwise on the worker that ran the query. It must not block.
+  /// Defined for FetchRequest and ScanRequest.
+  template <typename Request>
+  void Submit(SessionId session, Request request, double deadline_sec,
+              std::optional<obs::TraceParent> parent,
+              std::function<void(Answer<ResultFor<Request>>)> done);
+
+  /// Untraced Submit answered through a future, which always becomes
+  /// ready with the result or the rejection status.
   std::future<Result<FetchResult>> SubmitFetch(SessionId session,
                                                FetchRequest request,
                                                double deadline_sec = -1);
-
-  /// Asynchronous predicate scan. Scan results are not cached (their
-  /// cost is dominated by the zone-map scan, which reads shared buffer
-  /// pool state anyway).
   std::future<Result<ScanResult>> SubmitScan(SessionId session,
                                              ScanRequest request,
                                              double deadline_sec = -1);
-
-  /// Callback flavors of the submit APIs, for callers that multiplex many
-  /// in-flight requests on one thread (the TCP server's poll loop). `done`
-  /// is invoked exactly once — on the calling thread for rejections
-  /// (unknown session, queue full, draining) and cache hits, otherwise on
-  /// the worker that executed the request. It must not block.
-  void SubmitFetchAsync(SessionId session, FetchRequest request,
-                        double deadline_sec,
-                        std::function<void(Result<FetchResult>)> done);
-  void SubmitScanAsync(SessionId session, ScanRequest request,
-                       double deadline_sec,
-                       std::function<void(Result<ScanResult>)> done);
 
   /// Graceful shutdown, phase 1 (the only stop path besides destruction):
   /// stops admitting — every later submit is rejected with kUnavailable —
@@ -182,29 +182,6 @@ class QueryService {
   /// (engine/storage counters and histograms) plus this service's own
   /// latency and queue-wait histograms and stats-derived gauges.
   std::string MetricsText() const;
-
-  /// Traced fetch: same admission/caching/deadline semantics as
-  /// SubmitFetchAsync, but the worker installs an obs::QueryTrace around the
-  /// engine call so the reply carries the cost model's estimates, the chosen
-  /// strategy, and actual per-stage timings. `trace_id` labels the trace
-  /// (the TCP server passes the wire request id). Session-cache hits return
-  /// a minimal trace with strategy "session-cache".
-  void SubmitTraceFetchAsync(SessionId session, FetchRequest request,
-                             double deadline_sec, uint64_t trace_id,
-                             std::function<void(Result<TracedFetch>)> done);
-  /// Synchronous convenience for SubmitTraceFetchAsync.
-  Result<TracedFetch> TraceFetch(SessionId session, const FetchRequest& request,
-                                 uint64_t trace_id = 0);
-
-  /// Traced scan: SubmitScanAsync semantics with an obs::QueryTrace
-  /// installed around the engine call, so the reply shows zone-map
-  /// pruning and the scan_packed / decode stage split.
-  void SubmitTraceScanAsync(SessionId session, ScanRequest request,
-                            double deadline_sec, uint64_t trace_id,
-                            std::function<void(Result<TracedScan>)> done);
-  /// Synchronous convenience for SubmitTraceScanAsync.
-  Result<TracedScan> TraceScan(SessionId session, const ScanRequest& request,
-                               uint64_t trace_id = 0);
 
   size_t num_workers() const { return pool_->num_threads(); }
   Mistique* engine() const { return engine_; }
@@ -240,12 +217,27 @@ class QueryService {
   /// True iff the request's deadline passed; runs on the worker.
   bool ExpiredInQueue(double submit_sec, double deadline_sec);
 
-  /// Wraps bookkeeping shared by fetch and scan tasks around `body`;
-  /// delivers the result through `done`.
+  /// Worker-side bookkeeping around `body` (dequeue accounting, deadline
+  /// and abandon checks, outcome counters, drain wake-up); delivers the
+  /// answer through `done`.
   template <typename T>
   void RunTask(double submit_sec, double deadline_sec,
-               const std::function<void(Result<T>)>& done,
-               const std::function<Result<T>()>& body);
+               const std::function<void(Answer<T>)>& done,
+               const std::function<Answer<T>()>& body);
+
+  /// Untraced Submit whose answer fulfils a future.
+  template <typename Request>
+  std::future<Result<ResultFor<Request>>> SubmitForFuture(
+      SessionId session, Request request, double deadline_sec);
+
+  /// A trace for `description` labelled with this node, rooted under
+  /// `parent` when there is one (else under a fresh trace id).
+  obs::QueryTrace NewTrace(std::string description,
+                           const std::optional<obs::TraceParent>& parent) const;
+  /// Records a finished trace in the flight recorder; hands it back only
+  /// when `return_it` (the caller gave a trace parent).
+  std::optional<obs::QueryTrace> RecordTrace(obs::QueryTrace trace,
+                                             bool return_it);
 
   void RecordLatency(double seconds);
   void InvalidateSessionCaches();

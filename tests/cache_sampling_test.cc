@@ -2,6 +2,7 @@
 #include "gtest/gtest.h"
 #include "pipeline/templates.h"
 #include "pipeline/zillow.h"
+#include "service/query_service.h"
 #include "test_util.h"
 
 namespace mistique {
@@ -18,12 +19,11 @@ class CacheSamplingTest : public ::testing::Test {
     ASSERT_OK(WriteZillowCsvs(GenerateZillow(config), dir_->path()));
   }
 
-  MistiqueOptions Options(size_t cache_entries) {
+  MistiqueOptions Options() {
     MistiqueOptions opts;
     opts.store.directory = dir_->path() + "/store" + std::to_string(n_++);
     opts.strategy = StorageStrategy::kDedup;
     opts.row_block_size = 64;
-    opts.query_cache_entries = cache_entries;
     return opts;
   }
 
@@ -39,65 +39,60 @@ class CacheSamplingTest : public ::testing::Test {
   int n_ = 0;
 };
 
+// Result caching lives in one place, QueryService's per-session LRU
+// (docs/CONCURRENCY.md); the engine itself keeps no result cache.
+
 TEST_F(CacheSamplingTest, RepeatedQueriesHitCache) {
   Mistique mq;
-  ASSERT_OK(mq.Open(Options(8)));
+  ASSERT_OK(mq.Open(Options()));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Pipeline> pipeline,
                        BuildZillowPipeline(1, 0, dir_->path()));
   ASSERT_OK(mq.LogPipeline(pipeline.get(), "zillow").status());
+  QueryService service(&mq);
+  const SessionId session = service.OpenSession();
 
   FetchRequest req = Req("pred_test");
-  ASSERT_OK_AND_ASSIGN(FetchResult first, mq.Fetch(req));
+  ASSERT_OK_AND_ASSIGN(FetchResult first, service.Fetch(session, req));
   EXPECT_FALSE(first.from_cache);
-  ASSERT_OK_AND_ASSIGN(FetchResult second, mq.Fetch(req));
+  ASSERT_OK_AND_ASSIGN(FetchResult second, service.Fetch(session, req));
   EXPECT_TRUE(second.from_cache);
   EXPECT_EQ(second.columns, first.columns);
-  EXPECT_EQ(mq.query_cache_hits(), 1u);
+  EXPECT_EQ(service.Stats().cache_hits, 1u);
 
   // A different request misses.
   req.n_ex = 10;
-  ASSERT_OK_AND_ASSIGN(FetchResult other, mq.Fetch(req));
+  ASSERT_OK_AND_ASSIGN(FetchResult other, service.Fetch(session, req));
   EXPECT_FALSE(other.from_cache);
   EXPECT_EQ(other.columns[0].size(), 10u);
 }
 
-TEST_F(CacheSamplingTest, CacheEvictsLeastRecentlyUsed) {
-  Mistique mq;
-  ASSERT_OK(mq.Open(Options(2)));
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Pipeline> pipeline,
-                       BuildZillowPipeline(1, 0, dir_->path()));
-  ASSERT_OK(mq.LogPipeline(pipeline.get(), "zillow").status());
-
-  for (uint64_t n : {5u, 6u, 7u}) {  // Third insert evicts the first.
-    FetchRequest req = Req("pred_test");
-    req.n_ex = n;
-    ASSERT_OK(mq.Fetch(req).status());
-  }
-  FetchRequest req = Req("pred_test");
-  req.n_ex = 5;
-  ASSERT_OK_AND_ASSIGN(FetchResult evicted, mq.Fetch(req));
-  EXPECT_FALSE(evicted.from_cache);
-  req.n_ex = 7;
-  ASSERT_OK_AND_ASSIGN(FetchResult kept, mq.Fetch(req));
-  EXPECT_TRUE(kept.from_cache);
-}
-
 TEST_F(CacheSamplingTest, CacheDisabledByDefault) {
   Mistique mq;
-  ASSERT_OK(mq.Open(Options(0)));
+  ASSERT_OK(mq.Open(Options()));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Pipeline> pipeline,
                        BuildZillowPipeline(1, 0, dir_->path()));
   ASSERT_OK(mq.LogPipeline(pipeline.get(), "zillow").status());
+  // The engine answers every fetch afresh.
   FetchRequest req = Req("pred_test");
   ASSERT_OK(mq.Fetch(req).status());
   ASSERT_OK_AND_ASSIGN(FetchResult second, mq.Fetch(req));
   EXPECT_FALSE(second.from_cache);
-  EXPECT_EQ(mq.query_cache_hits(), 0u);
+
+  // And a service whose session cache is sized 0 never hits.
+  QueryServiceOptions options;
+  options.session_cache_entries = 0;
+  QueryService service(&mq, options);
+  const SessionId session = service.OpenSession();
+  ASSERT_OK(service.Fetch(session, req).status());
+  ASSERT_OK_AND_ASSIGN(FetchResult again, service.Fetch(session, req));
+  EXPECT_FALSE(again.from_cache);
+  EXPECT_EQ(service.Stats().cache_hits, 0u);
+  EXPECT_EQ(service.Stats().cache_lookups, 0u);
 }
 
 TEST_F(CacheSamplingTest, SampledFetchReadsEveryKthBlock) {
   Mistique mq;
-  ASSERT_OK(mq.Open(Options(0)));
+  ASSERT_OK(mq.Open(Options()));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Pipeline> pipeline,
                        BuildZillowPipeline(1, 0, dir_->path()));
   ASSERT_OK(mq.LogPipeline(pipeline.get(), "zillow").status());
@@ -134,7 +129,7 @@ TEST_F(CacheSamplingTest, SampledFetchReadsEveryKthBlock) {
 
 TEST_F(CacheSamplingTest, SampleIgnoredWithExplicitRows) {
   Mistique mq;
-  ASSERT_OK(mq.Open(Options(0)));
+  ASSERT_OK(mq.Open(Options()));
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<Pipeline> pipeline,
                        BuildZillowPipeline(1, 0, dir_->path()));
   ASSERT_OK(mq.LogPipeline(pipeline.get(), "zillow").status());

@@ -30,6 +30,7 @@
 #include "net/wire.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
+#include "raw_frame.h"
 #include "service/query_service.h"
 #include "test_util.h"
 
@@ -595,6 +596,21 @@ TEST_F(RouterTest, ScanOnUnknownModelIsNotFoundNotDegraded) {
   EXPECT_FALSE(wire::IsDegraded(st));
 }
 
+TEST_F(RouterTest, RetiredTraceFramesGetAnErrorAndCloseTheConnection) {
+  net::Client good(RouterClientOpts());
+  ASSERT_OK(good.Fetch(FetchReq("m0")).status());
+  for (const uint8_t retired : {16, 17, 24}) {
+    const RawExchange exchange =
+        ExchangeRawFrame(front_->port(), static_cast<wire::MsgType>(retired),
+                         wire::EncodeFetchRequest(1, FetchReq("m1")));
+    ASSERT_TRUE(exchange.answered) << int{retired};
+    EXPECT_EQ(exchange.type, wire::MsgType::kErrorResp) << int{retired};
+    EXPECT_TRUE(exchange.closed) << int{retired};
+    // Other connections keep serving.
+    EXPECT_OK(good.Fetch(FetchReq("m2")).status());
+  }
+}
+
 TEST_F(RouterTest, ShardMapRpcAnswersAtTheRouter) {
   net::Client client(RouterClientOpts());
   ASSERT_OK_AND_ASSIGN(wire::ShardMapInfo info, client.FetchShardMap());
@@ -1014,6 +1030,109 @@ TEST(RouterRelayTest, TruncatedShardAnswerBecomesAnErrorFrame) {
     EXPECT_TRUE(router->ShardUp(0)) << config.name;
     router->Stop();
   }
+  shard_server.Stop();
+}
+
+// --- Router teardown with hedged attempts still in flight ---
+
+/// A shard whose fetches answer only after `stall_sec`, each from a thread
+/// of its own, so a router's hedge fires and both attempts are still
+/// outstanding when a test acts. Health probes and session frames answer
+/// at once.
+class StallingShard : public net::FrameHandler {
+ public:
+  StallingShard(std::string fetch_payload, double stall_sec)
+      : fetch_payload_(std::move(fetch_payload)), stall_sec_(stall_sec) {}
+  /// Stop the server first: no frame arrives after that.
+  ~StallingShard() override {
+    for (std::thread& thread : threads_) thread.join();
+  }
+  StallingShard(const StallingShard&) = delete;
+  StallingShard& operator=(const StallingShard&) = delete;
+
+  net::FrameDisposition HandleFrame(uint64_t conn_token,
+                                    const wire::Frame& frame,
+                                    net::Responder respond) override {
+    (void)conn_token;
+    switch (frame.type) {
+      case wire::MsgType::kHealthReq:
+        respond(wire::MsgType::kHealthResp,
+                wire::EncodeHealth(wire::HealthInfo{}));
+        return net::FrameDisposition::kOk;
+      case wire::MsgType::kOpenSessionReq:
+        respond(wire::MsgType::kOpenSessionResp, wire::EncodeSessionId(1));
+        return net::FrameDisposition::kOk;
+      case wire::MsgType::kCloseSessionReq:
+        respond(wire::MsgType::kCloseSessionResp, "");
+        return net::FrameDisposition::kOk;
+      case wire::MsgType::kFetchReq:
+        threads_.emplace_back([this, respond = std::move(respond)] {
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(stall_sec_));
+          respond(wire::MsgType::kFetchResp, fetch_payload_);
+        });
+        return net::FrameDisposition::kOk;
+      default:
+        respond(wire::MsgType::kErrorResp,
+                wire::EncodeError(Status::InvalidArgument("not stalled")));
+        return net::FrameDisposition::kMalformed;
+    }
+  }
+  void OnConnectionClosed(uint64_t conn_token) override { (void)conn_token; }
+  uint64_t DrainRequests(double deadline_sec) override {
+    (void)deadline_sec;
+    return 0;
+  }
+
+ private:
+  const std::string fetch_payload_;
+  const double stall_sec_;
+  /// One per stalled fetch; touched only on the server's I/O thread.
+  std::vector<std::thread> threads_;
+};
+
+TEST(RouterTeardownTest, DestroyingARouterWithHedgesInFlightIsSafe) {
+  FetchResult result;
+  result.column_names = {"pred"};
+  result.columns = {{1.0, 2.0, 3.0}};
+  StallingShard shard(wire::EncodeFetchResult(result), /*stall_sec=*/0.2);
+  net::Server shard_server(&shard);
+  ASSERT_OK(shard_server.Start());
+
+  obs::FlightRecorderOptions recorder_options;
+  recorder_options.sample_rate = 0;
+  obs::FlightRecorder recorder(recorder_options);
+  const RelayConfig hedged{"hedged", /*hedge_delay_sec=*/0.02,
+                           /*sample_rate=*/0};
+  std::unique_ptr<Router> router =
+      StartRelayRouter(shard_server.port(), hedged, &recorder);
+  const uint64_t hedges_before = router->Stats().hedges;
+
+  wire::Frame frame;
+  frame.type = wire::MsgType::kFetchReq;
+  frame.payload = wire::EncodeFetchRequest(1, RelayFetch());
+  std::promise<wire::MsgType> answered;
+  ASSERT_EQ(router->HandleFrame(1, frame,
+                                [&answered](wire::MsgType type, std::string) {
+                                  answered.set_value(type);
+                                }),
+            net::FrameDisposition::kOk);
+  // Wait for the hedge: the primary and the hedge now both stall in the
+  // shard.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (router->Stats().hedges == hedges_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(router->Stats().hedges, hedges_before);
+
+  // Destruction waits for the forward's first answer; the losing attempt
+  // is still in flight and finishes after the router is gone.
+  router.reset();
+  EXPECT_EQ(answered.get_future().get(), wire::MsgType::kFetchResp);
+  // Let the losing attempt land before the shard goes away.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
   shard_server.Stop();
 }
 

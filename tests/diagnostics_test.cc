@@ -217,5 +217,29 @@ TEST(SpearmanTest, TiesHandled) {
   EXPECT_NEAR(rho, 1.0, 1e-12);
 }
 
+TEST(ClassSensitivityTest, SeparableClassScoresHigh) {
+  // Activations where column 0 encodes class 0 membership linearly.
+  Rng rng(2);
+  const size_t n = 300;
+  std::vector<int> labels(n);
+  std::vector<std::vector<double>> acts(5, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) {
+    labels[i] = static_cast<int>(rng.NextBelow(3));
+    acts[0][i] = (labels[i] == 0 ? 2.0 : -2.0) + 0.1 * rng.Gaussian();
+    for (size_t c = 1; c < 5; ++c) acts[c][i] = rng.Gaussian();
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<double> sensitivity,
+                       SvccaClassSensitivity(acts, labels, 3));
+  ASSERT_EQ(sensitivity.size(), 3u);
+  EXPECT_GT(sensitivity[0], 0.9);   // Class 0 is linearly decodable.
+  EXPECT_LT(sensitivity[1], 0.95);  // Classes 1/2 only via the shared
+  EXPECT_LT(sensitivity[2], 0.95);  // anti-signal, which is weaker.
+}
+
+TEST(ClassSensitivityTest, Validation) {
+  EXPECT_FALSE(SvccaClassSensitivity({}, {}, 2).ok());
+  EXPECT_FALSE(SvccaClassSensitivity({{1.0, 2.0}}, {0}, 2).ok());
+}
+
 }  // namespace
 }  // namespace mistique

@@ -209,13 +209,25 @@ TEST_F(MistiqueTradTest, QueryCountTracked) {
   req.intermediate = "pred_test";
   ASSERT_OK(mq.Fetch(req).status());
   ASSERT_OK(mq.Fetch(req).status());
+  // A scan is one query, although it fetches its output columns through
+  // the fetch planner.
+  ScanRequest scan;
+  scan.project = "zillow";
+  scan.model = "P1_v0";
+  scan.intermediate = "pred_test";
+  scan.predicate_column = "pred";
+  scan.columns = {"pred"};
+  ASSERT_OK_AND_ASSIGN(ScanResult scanned, mq.Scan(scan));
+  ASSERT_FALSE(scanned.row_ids.empty());
+  ASSERT_EQ(scanned.columns.size(), 1u);
+  EXPECT_EQ(scanned.columns[0].size(), scanned.row_ids.size());
   // Snapshot readers count queries in a side table that folds into the
   // live catalog at the next writer operation (docs/MVCC.md).
   ASSERT_OK(mq.Flush());
   ASSERT_OK_AND_ASSIGN(const IntermediateInfo* interm,
                        std::as_const(mq.metadata())
                            .FindIntermediate(id, "pred_test"));
-  EXPECT_EQ(interm->n_query, 2u);
+  EXPECT_EQ(interm->n_query, 3u);
 }
 
 }  // namespace

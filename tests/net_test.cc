@@ -30,6 +30,7 @@
 #include "nn/model_zoo.h"
 #include "pipeline/templates.h"
 #include "pipeline/zillow.h"
+#include "raw_frame.h"
 #include "service/query_service.h"
 #include "test_util.h"
 
@@ -594,14 +595,11 @@ TEST(WireTest, ShardMapHealthCatalogMetricsTraceRoundTrip) {
   EXPECT_EQ(text_out, exposition);
 
   const obs::QueryTrace trace = SampleTrace();
-  wire::TraceResultSummary summary;
-  summary.rows = 25;
-  summary.cols = 2;
-  summary.used_read = true;
-  obs::QueryTrace trace_out;
-  wire::TraceResultSummary summary_out;
-  ASSERT_OK(wire::DecodeQueryTrace(wire::EncodeQueryTrace(trace, summary),
-                                   &trace_out, &summary_out));
+  std::vector<obs::QueryTrace> traces_out;
+  ASSERT_OK(wire::DecodeTraceList(wire::EncodeTraceList({trace}),
+                                  &traces_out));
+  ASSERT_EQ(traces_out.size(), 1u);
+  const obs::QueryTrace& trace_out = traces_out[0];
   EXPECT_EQ(trace_out.trace_id, 99u);
   EXPECT_EQ(trace_out.description, trace.description);
   EXPECT_DOUBLE_EQ(trace_out.est_read_sec, 0.25);
@@ -615,16 +613,9 @@ TEST(WireTest, ShardMapHealthCatalogMetricsTraceRoundTrip) {
   EXPECT_EQ(trace_out.events()[1].bytes, 65536u);
   ASSERT_EQ(trace_out.stage_totals().size(), 1u);
   EXPECT_EQ(trace_out.stage_totals()[0].name, "dedup_resolve");
-  EXPECT_EQ(summary_out.rows, 25u);
-  EXPECT_EQ(summary_out.cols, 2u);
-  EXPECT_TRUE(summary_out.used_read);
 }
 
 TEST(WireTest, NewPayloadsRejectTruncationAtEveryByte) {
-  wire::TraceResultSummary summary;
-  summary.rows = 25;
-  summary.cols = 2;
-  summary.used_read = true;
   FetchResult fetch;
   fetch.column_names = {"pred", "score"};
   fetch.columns = {{0.5, -1.25, 3.0}, {}};
@@ -634,7 +625,7 @@ TEST(WireTest, NewPayloadsRejectTruncationAtEveryByte) {
       wire::EncodeHealth(wire::HealthInfo{1, 11, 4, 7}),
       wire::EncodeCatalog(SampleCatalog()),
       wire::EncodeMetricsText("mistique_fetch_total 3\n"),
-      wire::EncodeQueryTrace(SampleTrace(), summary),
+      wire::EncodeTraceList({SampleTrace()}),
       wire::EncodeFetchResult(fetch),
   };
   const char* names[] = {"shardmap", "health",     "catalog",
@@ -668,9 +659,8 @@ TEST(WireTest, NewPayloadsRejectTruncationAtEveryByte) {
           break;
         }
         case 4: {
-          obs::QueryTrace out;
-          wire::TraceResultSummary sout;
-          st = wire::DecodeQueryTrace(prefix, &out, &sout);
+          std::vector<obs::QueryTrace> out;
+          st = wire::DecodeTraceList(prefix, &out);
           break;
         }
         case 5: {
@@ -745,6 +735,88 @@ TEST(WireTest, TracedEnvelopePayloadsRejectTruncationAtEveryByte) {
   }
 }
 
+/// The frames that carry trace trees (kTracedResp, kTraceDumpResp,
+/// kSlowLogResp) keep their exact bytes, including each node's zeroed
+/// 17-byte reserved slot. The hex below is what the encoder wrote while
+/// the slot still held the result summary of the retired frame 17.
+TEST(WireTest, TraceEncodingsMatchGoldenBytes) {
+  obs::QueryTrace root(0x0102030405060708ull, "router fetch");
+  root.node = "router";
+  root.parent_span_id = 42;
+  root.sampled = true;
+  root.strategy = "forward";
+  root.total_sec = 0.5;
+  root.materialized_now = true;
+  root.AddEvent("forward s0", 0, 0.0, 0.5, 0);
+  obs::QueryTrace child(0x0102030405060708ull, "z.m.i");
+  child.node = "shard0";
+  child.parent_span_id = 9001;
+  child.sampled = true;
+  child.strategy = "read";
+  child.est_read_sec = 0.25;
+  child.est_rerun_sec = 4.5;
+  child.queue_wait_sec = 0.001;
+  child.total_sec = 0.375;
+  child.mispredicted = true;
+  child.AddEvent("read", 1, 0.125, 0.25, 64);
+  child.Accumulate("decode", 0.0625, 2048);
+  root.children.push_back(child);
+  const std::string traced_golden = BytesFromHex(
+      "08030000006162630108070605040302010c000000726f757465722066657463"
+      "6807000000666f7277617264000000000000f0bf000000000000f0bf00000000"
+      "00000000000000000000e03f02010000000a000000666f727761726420733000"
+      "0000000000000000000000000000000000e03f00000000000000000000000000"
+      "0000000000000000000000000000000006000000726f757465722a0000000000"
+      "000001010000000807060504030201050000007a2e6d2e690400000072656164"
+      "000000000000d03f0000000000001240fca9f1d24d62503f000000000000d83f"
+      "0401000000040000007265616401000000000000000000c03f000000000000d0"
+      "3f400000000000000001000000060000006465636f6465010000000000000000"
+      "0000000000b03f00080000000000000000000000000000000000000000000000"
+      "0600000073686172643029230000000000000100000000");
+  ASSERT_EQ(traced_golden.size(), 343u);
+  EXPECT_EQ(wire::EncodeTracedResponse(wire::MsgType::kFetchResp, "abc",
+                                       &root),
+            traced_golden);
+  wire::MsgType inner = wire::MsgType::kErrorResp;
+  std::string body;
+  bool has_trace = false;
+  obs::QueryTrace got;
+  ASSERT_OK(wire::DecodeTracedResponse(traced_golden, &inner, &body,
+                                       &has_trace, &got));
+  EXPECT_EQ(inner, wire::MsgType::kFetchResp);
+  EXPECT_EQ(body, "abc");
+  ASSERT_TRUE(has_trace);
+  EXPECT_EQ(got.parent_span_id, 42u);
+  ASSERT_EQ(got.children.size(), 1u);
+  EXPECT_EQ(got.children[0].node, "shard0");
+  EXPECT_EQ(got.children[0].stage_totals()[0].bytes, 2048u);
+
+  std::vector<obs::QueryTrace> list;
+  list.emplace_back(1, "first");
+  list.back().node = "shard-a";
+  list.emplace_back(2, "second");
+  list.back().sampled = true;
+  list.back().cache_hit = true;
+  list.back().strategy = "session-cache";
+  list.back().total_sec = 0.2;
+  const std::string list_golden = BytesFromHex(
+      "02000000010000000000000005000000666972737400000000000000000000f0"
+      "bf000000000000f0bf0000000000000000000000000000000000000000000000"
+      "000000000000000000000000000000000000000700000073686172642d610000"
+      "00000000000000000000000200000000000000060000007365636f6e640d0000"
+      "0073657373696f6e2d6361636865000000000000f0bf000000000000f0bf0000"
+      "0000000000009a9999999999c93f010000000000000000000000000000000000"
+      "00000000000000000000000000000000000000000100000000");
+  ASSERT_EQ(list_golden.size(), 217u);
+  EXPECT_EQ(wire::EncodeTraceList(list), list_golden);
+  std::vector<obs::QueryTrace> list_out;
+  ASSERT_OK(wire::DecodeTraceList(list_golden, &list_out));
+  ASSERT_EQ(list_out.size(), 2u);
+  EXPECT_EQ(list_out[0].node, "shard-a");
+  EXPECT_EQ(list_out[1].strategy, "session-cache");
+  EXPECT_TRUE(list_out[1].cache_hit);
+}
+
 TEST(WireTest, NewMsgTypesAreValidAndFuzzSafe) {
   for (uint8_t t = static_cast<uint8_t>(wire::MsgType::kMetricsReq);
        t <= static_cast<uint8_t>(wire::MsgType::kSlowLogResp); ++t) {
@@ -769,12 +841,10 @@ TEST(WireTest, NewMsgTypesAreValidAndFuzzSafe) {
     wire::CatalogInfo catalog;
     std::string text;
     obs::QueryTrace trace;
-    wire::TraceResultSummary summary;
     (void)wire::DecodeShardMap(payload, &map);
     (void)wire::DecodeHealth(payload, &health);
     (void)wire::DecodeCatalog(payload, &catalog);
     (void)wire::DecodeMetricsText(payload, &text);
-    (void)wire::DecodeQueryTrace(payload, &trace, &summary);
     wire::TraceContext ctx;
     auto inner = wire::MsgType::kErrorResp;
     std::string inner_payload;
@@ -929,8 +999,9 @@ TEST_F(NetTest, RemoteScanMatchesInProcess) {
 }
 
 TEST_F(NetTest, RemoteTraceScanCarriesStagesAndSummary) {
-  // A quantized DNN store so the scan runs the packed kernels; the
-  // remote trace must show the scan_packed stage (docs/SCAN.md).
+  // A quantized DNN store so the scan runs the packed kernels; the trace
+  // an enveloped scan brings back must show the scan_packed stage
+  // (docs/SCAN.md).
   TempDir qdir("net_tracescan");
   Mistique qmq;
   {
@@ -968,15 +1039,17 @@ TEST_F(NetTest, RemoteTraceScanCarriesStagesAndSummary) {
   net::ClientOptions copts;
   copts.port = qserver.port();
   net::Client client(copts);
-  wire::TraceResultSummary summary;
-  ASSERT_OK_AND_ASSIGN(obs::QueryTrace trace,
-                       client.TraceScan(scan, &summary));
-  EXPECT_EQ(summary.rows, ref.row_ids.size());
-  EXPECT_EQ(trace.description, "cifar.cnn.layer7");
-  EXPECT_GT(trace.total_sec, 0.0);
+  client.SetTraceContext({obs::NewTraceId(), 0, true});
+  ASSERT_OK_AND_ASSIGN(ScanResult remote, client.Scan(scan));
+  std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
+  client.ClearTraceContext();
+  EXPECT_EQ(remote.row_ids.size(), ref.row_ids.size());
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_EQ(trace->description, "cifar.cnn.layer7 scan(n0)");
+  EXPECT_GT(trace->total_sec, 0.0);
   // The compressed-domain kernel stage survived the wire round-trip.
-  EXPECT_GT(trace.StageSeconds("scan_packed"), 0.0);
-  EXPECT_EQ(trace.StageSeconds("scan_decode"), 0.0);
+  EXPECT_GT(trace->StageSeconds("scan_packed"), 0.0);
+  EXPECT_EQ(trace->StageSeconds("scan_decode"), 0.0);
   qserver.Stop();
 }
 
@@ -1010,10 +1083,12 @@ TEST_F(NetTest, TracedFetchEnvelopeReturnsTraceAndIdenticalBytes) {
   EXPECT_GT(trace->total_sec, 0.0);
   EXPECT_FALSE(trace->events().empty());
 
-  // The hop also recorded itself into its flight recorder.
+  // The hop also recorded itself into its flight recorder, already
+  // hung under the caller's span.
   const std::vector<obs::QueryTrace> dump = recorder.Dump();
   ASSERT_FALSE(dump.empty());
   EXPECT_EQ(dump[0].trace_id, trace_id);
+  EXPECT_EQ(dump[0].parent_span_id, 42u);
 
   // Context cleared: the next call rides plain frames, no trace left.
   ASSERT_OK(client.Fetch(FetchReq(17)).status());
@@ -1050,6 +1125,24 @@ TEST_F(NetTest, TraceDumpAndSlowLogTravelOverWire) {
   ASSERT_GE(slow.size(), 2u);
   for (size_t i = 1; i < slow.size(); ++i) {
     EXPECT_GE(slow[i - 1].total_sec, slow[i].total_sec);
+  }
+}
+
+TEST_F(NetTest, RetiredTraceFramesGetAnErrorAndCloseTheConnection) {
+  StartServer();
+  net::Client good(ClientOpts());
+  ASSERT_OK(good.Fetch(FetchReq()).status());
+  // 16 / 17 / 24 were the one-hop trace frames; the numbers stay
+  // reserved and land on the handler's unexpected-type path.
+  for (const uint8_t retired : {16, 17, 24}) {
+    const RawExchange exchange =
+        ExchangeRawFrame(server_->port(), static_cast<wire::MsgType>(retired),
+                         wire::EncodeFetchRequest(1, FetchReq()));
+    ASSERT_TRUE(exchange.answered) << int{retired};
+    EXPECT_EQ(exchange.type, wire::MsgType::kErrorResp) << int{retired};
+    EXPECT_TRUE(exchange.closed) << int{retired};
+    // Other connections keep serving.
+    EXPECT_OK(good.Fetch(FetchReq(8)).status());
   }
 }
 

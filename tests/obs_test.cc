@@ -1,5 +1,6 @@
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <set>
 #include <string>
@@ -296,15 +297,19 @@ TEST(WireObsTest, QueryTraceRoundtrips) {
   trace.AddEvent("rerun", 0, 0.0002, 0.12, 0);
   trace.Accumulate("decode", 0.003, 2048);
   trace.Accumulate("decode", 0.001, 1024);
-  wire::TraceResultSummary summary;
-  summary.rows = 300;
-  summary.cols = 2;
-  summary.used_read = false;
 
-  const std::string payload = wire::EncodeQueryTrace(trace, summary);
+  // A single trace rides the kTracedResp envelope.
+  const std::string payload =
+      wire::EncodeTracedResponse(wire::MsgType::kFetchResp, "rows", &trace);
+  wire::MsgType inner = wire::MsgType::kErrorResp;
+  std::string body;
+  bool has_trace = false;
   obs::QueryTrace got;
-  wire::TraceResultSummary got_summary;
-  ASSERT_OK(wire::DecodeQueryTrace(payload, &got, &got_summary));
+  ASSERT_OK(
+      wire::DecodeTracedResponse(payload, &inner, &body, &has_trace, &got));
+  EXPECT_EQ(inner, wire::MsgType::kFetchResp);
+  EXPECT_EQ(body, "rows");
+  ASSERT_TRUE(has_trace);
 
   EXPECT_EQ(got.trace_id, 99u);
   EXPECT_EQ(got.description, "zillow.P1_v0.pred_test");
@@ -322,19 +327,18 @@ TEST(WireObsTest, QueryTraceRoundtrips) {
   ASSERT_EQ(got.stage_totals().size(), 1u);
   EXPECT_EQ(got.stage_totals()[0].count, 2u);
   EXPECT_EQ(got.stage_totals()[0].bytes, 3072u);
-  EXPECT_EQ(got_summary.rows, 300u);
-  EXPECT_EQ(got_summary.cols, 2u);
-  EXPECT_FALSE(got_summary.used_read);
 }
 
 TEST(WireObsTest, TruncatedTracePayloadRejected) {
   obs::QueryTrace trace(1, "d");
   const std::string payload =
-      wire::EncodeQueryTrace(trace, wire::TraceResultSummary{});
+      wire::EncodeTracedResponse(wire::MsgType::kFetchResp, "", &trace);
+  wire::MsgType inner = wire::MsgType::kErrorResp;
+  std::string body;
+  bool has_trace = false;
   obs::QueryTrace got;
-  wire::TraceResultSummary summary;
-  EXPECT_FALSE(wire::DecodeQueryTrace(payload.substr(0, payload.size() - 3),
-                                      &got, &summary)
+  EXPECT_FALSE(wire::DecodeTracedResponse(payload.substr(0, payload.size() - 3),
+                                          &inner, &body, &has_trace, &got)
                    .ok());
 }
 
@@ -358,11 +362,12 @@ TEST(WireObsTest, NewMsgTypesAreValid) {
   EXPECT_TRUE(wire::IsValidMsgType(
       static_cast<uint8_t>(wire::MsgType::kMetricsReq)));
   EXPECT_TRUE(wire::IsValidMsgType(
-      static_cast<uint8_t>(wire::MsgType::kTraceResp)));
-  EXPECT_TRUE(wire::IsValidMsgType(
       static_cast<uint8_t>(wire::MsgType::kCatalogResp)));
-  EXPECT_TRUE(wire::IsValidMsgType(
-      static_cast<uint8_t>(wire::MsgType::kTraceScanReq)));
+  // The retired one-hop trace frames (16, 17, 24) stay reserved inside the
+  // range: they parse, and handlers answer them with an error.
+  EXPECT_TRUE(wire::IsValidMsgType(16));
+  EXPECT_TRUE(wire::IsValidMsgType(17));
+  EXPECT_TRUE(wire::IsValidMsgType(24));
   EXPECT_TRUE(wire::IsValidMsgType(
       static_cast<uint8_t>(wire::MsgType::kTracedReq)));
   EXPECT_TRUE(wire::IsValidMsgType(
@@ -431,11 +436,11 @@ TEST(WireObsTest, TraceTreeRoundTripsWithChildren) {
   sibling.sampled = true;
   root.children.push_back(std::move(sibling));
 
-  const std::string payload =
-      wire::EncodeQueryTrace(root, wire::TraceResultSummary{});
-  obs::QueryTrace got;
-  wire::TraceResultSummary summary;
-  ASSERT_OK(wire::DecodeQueryTrace(payload, &got, &summary));
+  const std::string payload = wire::EncodeTraceList({root});
+  std::vector<obs::QueryTrace> list;
+  ASSERT_OK(wire::DecodeTraceList(payload, &list));
+  ASSERT_EQ(list.size(), 1u);
+  const obs::QueryTrace& got = list[0];
 
   EXPECT_EQ(got.node, "router");
   EXPECT_EQ(got.parent_span_id, 42u);
@@ -453,10 +458,8 @@ TEST(WireObsTest, TraceTreeRoundTripsWithChildren) {
 
   // Every truncation of a tree payload is rejected, never misparsed.
   for (size_t len = 0; len < payload.size(); ++len) {
-    obs::QueryTrace out;
-    wire::TraceResultSummary sout;
-    EXPECT_FALSE(
-        wire::DecodeQueryTrace(payload.substr(0, len), &out, &sout).ok())
+    std::vector<obs::QueryTrace> out;
+    EXPECT_FALSE(wire::DecodeTraceList(payload.substr(0, len), &out).ok())
         << "tree decoded at truncation " << len;
   }
 }
@@ -719,20 +722,40 @@ class ObsServiceTest : public ::testing::Test {
   std::unique_ptr<Pipeline> pipeline_;
 };
 
+/// Submits one fetch and waits for its answer.
+Answer<FetchResult> SubmitAndWait(QueryService* service, SessionId session,
+                                  const FetchRequest& request,
+                                  std::optional<obs::TraceParent> parent) {
+  std::promise<Answer<FetchResult>> answered;
+  service->Submit(session, request, /*deadline_sec=*/-1, parent,
+                  [&answered](Answer<FetchResult> answer) {
+                    answered.set_value(std::move(answer));
+                  });
+  return answered.get_future().get();
+}
+
 TEST_F(ObsServiceTest, TracedFetchRecordsDecisionAndStages) {
+  obs::FlightRecorderOptions recorder_options;
+  recorder_options.sample_rate = 0.0;  // only the parent makes it traced
+  obs::FlightRecorder recorder(recorder_options);
   QueryServiceOptions options;
   options.num_workers = 2;
   options.session_cache_entries = 4;
+  options.flight_recorder = &recorder;
   QueryService service(&mq_, options);
   const SessionId session = service.OpenSession();
 
-  ASSERT_OK_AND_ASSIGN(TracedFetch traced,
-                       service.TraceFetch(session, ForcedReadReq(), 77));
-  EXPECT_FALSE(traced.result.columns.empty());
-  EXPECT_TRUE(traced.result.used_read);
+  Answer<FetchResult> traced =
+      SubmitAndWait(&service, session, ForcedReadReq(), {{77, 5}});
+  ASSERT_OK(traced.result.status());
+  EXPECT_FALSE(traced.result->columns.empty());
+  EXPECT_TRUE(traced.result->used_read);
+  ASSERT_TRUE(traced.trace.has_value());
 
-  const obs::QueryTrace& trace = traced.trace;
+  const obs::QueryTrace& trace = *traced.trace;
   EXPECT_EQ(trace.trace_id, 77u);
+  EXPECT_EQ(trace.parent_span_id, 5u);
+  EXPECT_TRUE(trace.sampled);
   EXPECT_EQ(trace.description, "zillow.P1_v0.pred_test");
   EXPECT_EQ(trace.strategy, "forced-read");
   // The cost model ran before the decision: both estimates recorded.
@@ -746,11 +769,30 @@ TEST_F(ObsServiceTest, TracedFetchRecordsDecisionAndStages) {
 
   // Second identical fetch: served from the session cache with a
   // minimal trace.
-  ASSERT_OK_AND_ASSIGN(TracedFetch cached,
-                       service.TraceFetch(session, ForcedReadReq(), 78));
-  EXPECT_TRUE(cached.result.from_cache);
-  EXPECT_TRUE(cached.trace.cache_hit);
-  EXPECT_EQ(cached.trace.strategy, "session-cache");
+  Answer<FetchResult> cached =
+      SubmitAndWait(&service, session, ForcedReadReq(), {{78, 6}});
+  ASSERT_OK(cached.result.status());
+  EXPECT_TRUE(cached.result->from_cache);
+  ASSERT_TRUE(cached.trace.has_value());
+  EXPECT_TRUE(cached.trace->cache_hit);
+  EXPECT_EQ(cached.trace->strategy, "session-cache");
+  EXPECT_EQ(cached.trace->trace_id, 78u);
+
+  // Both traces landed in the recorder as the caller got them.
+  const std::vector<obs::QueryTrace> dump = recorder.Dump();
+  ASSERT_EQ(dump.size(), 2u);
+  EXPECT_EQ(dump[0].trace_id, 78u);
+  EXPECT_EQ(dump[0].parent_span_id, 6u);
+  EXPECT_EQ(dump[1].trace_id, 77u);
+
+  // Without a parent (and sampling off) the answer carries no trace.
+  FetchRequest plain = ForcedReadReq();
+  plain.n_ex = 3;
+  Answer<FetchResult> untraced =
+      SubmitAndWait(&service, session, plain, std::nullopt);
+  ASSERT_OK(untraced.result.status());
+  EXPECT_FALSE(untraced.trace.has_value());
+  EXPECT_EQ(recorder.Dump().size(), 2u);
 }
 
 TEST_F(ObsServiceTest, StatsPercentilesComeFromHistogram) {

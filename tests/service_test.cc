@@ -255,6 +255,31 @@ TEST_F(ServiceTradTest, SessionCachesAreIsolated) {
   EXPECT_EQ(service.CloseSession(b).code(), StatusCode::kNotFound);
 }
 
+TEST_F(ServiceTradTest, SessionCacheEvictsLeastRecentlyUsed) {
+  QueryServiceOptions options;
+  options.num_workers = 1;
+  options.session_cache_entries = 2;
+  QueryService service(&mq_, options);
+  const SessionId session = service.OpenSession();
+
+  for (const uint64_t n : {5u, 6u, 7u}) {  // Third insert evicts the first.
+    ASSERT_OK(service.Fetch(session, FetchReq(n)).status());
+  }
+  ASSERT_OK_AND_ASSIGN(FetchResult evicted,
+                       service.Fetch(session, FetchReq(5)));
+  EXPECT_FALSE(evicted.from_cache);
+  // Re-inserting 5 evicted 6, the least recently used; 7 stayed.
+  ASSERT_OK_AND_ASSIGN(FetchResult kept, service.Fetch(session, FetchReq(7)));
+  EXPECT_TRUE(kept.from_cache);
+  ASSERT_FALSE(kept.columns.empty());
+  EXPECT_EQ(kept.columns[0].size(), 7u);
+  ASSERT_OK_AND_ASSIGN(FetchResult dropped,
+                       service.Fetch(session, FetchReq(6)));
+  EXPECT_FALSE(dropped.from_cache);
+  EXPECT_EQ(service.Stats().cache_hits, 1u);
+  EXPECT_EQ(service.Stats().cache_lookups, 6u);
+}
+
 TEST_F(ServiceTradTest, GetIntermediatesThroughService) {
   QueryService service(&mq_, {});
   const SessionId session = service.OpenSession();
