@@ -148,6 +148,14 @@ Status LzssCodec::Decompress(const std::vector<uint8_t>& input,
   ByteReader r(input);
   uint64_t out_len = 0;
   MISTIQUE_RETURN_NOT_OK(r.GetU64(&out_len));
+  // Every 6 stream bytes (one match token, its control bit aside) yield at
+  // most kMaxMatch output bytes, a literal byte yields one. A longer
+  // declared length is corrupt and must not size the allocation.
+  const uint64_t stream = r.remaining();
+  if (out_len > stream / 6 * kMaxMatch + stream % 6) {
+    return Status::Corruption("lzss: declared length exceeds what the "
+                              "stream can encode");
+  }
   output->clear();
   output->reserve(out_len);
 

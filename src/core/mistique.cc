@@ -209,6 +209,15 @@ Status ResolveColumns(const IntermediateInfo& interm,
   return Status::OK();
 }
 
+/// RowBlock stride of an approximate fetch: every k-th block, k =
+/// round(1 / sample_fraction); 1 for an exact fetch.
+uint64_t SampleStride(const FetchRequest& request) {
+  if (request.sample_fraction > 0 && request.sample_fraction < 1.0) {
+    return static_cast<uint64_t>(std::lround(1.0 / request.sample_fraction));
+  }
+  return 1;
+}
+
 Status ResolveRows(const IntermediateInfo& interm, const FetchRequest& request,
                    std::vector<uint64_t>* rows) {
   if (!request.row_ids.empty()) {
@@ -225,10 +234,8 @@ Status ResolveRows(const IntermediateInfo& interm, const FetchRequest& request,
   const uint64_t n = request.n_ex == 0
                          ? interm.num_rows
                          : std::min<uint64_t>(request.n_ex, interm.num_rows);
-  if (request.sample_fraction > 0 && request.sample_fraction < 1.0) {
+  if (const uint64_t stride = SampleStride(request); stride > 1) {
     // Approximate fetch: keep every k-th RowBlock's rows.
-    const auto stride =
-        static_cast<uint64_t>(std::lround(1.0 / request.sample_fraction));
     const uint64_t block = std::max<uint64_t>(interm.row_block_size, 1);
     for (uint64_t i = 0; i < n; ++i) {
       if ((i / block) % stride == 0) rows->push_back(i);
@@ -943,7 +950,8 @@ Status Mistique::StageImport(
       ModelId id, metadata_.RegisterModel(project, name, ModelKind::kTrad));
   *staged = id;
   MISTIQUE_ASSIGN_OR_RETURN(ModelInfo * model, metadata_.GetModel(id));
-  for (const ImportIntermediate& in : intermediates) {
+  for (size_t k = 0; k < intermediates.size(); ++k) {
+    const ImportIntermediate& in = intermediates[k];
     IntermediateInfo interm;
     interm.name = in.name;
     interm.stage_index = in.stage_index;
@@ -965,11 +973,18 @@ Status Mistique::StageImport(
                                           options_.threshold_alpha, sample,
                                           &interm));
     }
+    // One colocation group per intermediate, as StageNetwork keeps one
+    // per layer: the columns fill one open partition, sealed every
+    // partition_target_bytes, instead of each chunk missing the similarity
+    // search and opening a partition of its own. Exact dedup still applies.
+    const uint64_t group = HashCombine(static_cast<uint64_t>(id) + 1,
+                                       static_cast<uint64_t>(k) + 1);
     uint64_t encoded = 0;
     for (size_t c = 0; c < in.columns.size(); ++c) {
       ColumnInfo col;
       col.name = in.column_names[c];
-      MISTIQUE_RETURN_NOT_OK(StoreColumn(interm, &col, in.columns[c], 0, 0));
+      MISTIQUE_RETURN_NOT_OK(
+          StoreColumn(interm, &col, in.columns[c], 0, group));
       encoded += col.encoded_bytes;
       interm.columns.push_back(std::move(col));
     }
@@ -1517,9 +1532,15 @@ uint64_t Mistique::RequestKey(const FetchRequest& request) {
   h = HashCombine(h, request.force_read.has_value()
                          ? (*request.force_read ? 2u : 1u)
                          : 0u);
-  h = HashCombine(h,
-                  static_cast<uint64_t>(request.sample_fraction * 1e6));
+  h = HashCombine(h, SampleStride(request));
   return Mix64(h);
+}
+
+bool Mistique::SameRequest(const FetchRequest& a, const FetchRequest& b) {
+  return a.project == b.project && a.model == b.model &&
+         a.intermediate == b.intermediate && a.columns == b.columns &&
+         a.n_ex == b.n_ex && a.row_ids == b.row_ids &&
+         a.force_read == b.force_read && SampleStride(a) == SampleStride(b);
 }
 
 namespace {
@@ -1806,6 +1827,7 @@ Result<ScanResult> Mistique::Scan(const ScanRequest& request) {
   Metrics().scan_total->Increment();
   ScanResult out;
   bool rerun_fallback = false;
+  bool packed_scan = false;
   uint64_t num_row_blocks = 0;
 
   // Phase 1 (pinned snapshot): resolve the predicate column and, when it
@@ -1894,6 +1916,7 @@ Result<ScanResult> Mistique::Scan(const ScanRequest& request) {
     }
 
     if (pcol.materialized && !pcol.chunks.empty()) {
+      packed_scan = packed_pred && options_.enable_packed_scan;
       const uint64_t block = interm->row_block_size;
       for (size_t b = 0; b < pcol.chunks.size(); ++b) {
         // Zone-map pruning: skip blocks whose value range cannot intersect
@@ -1923,9 +1946,7 @@ Result<ScanResult> Mistique::Scan(const ScanRequest& request) {
           break;
         }
         std::optional<scan::PackedView> view =
-            packed_pred && options_.enable_packed_scan
-                ? scan::PackedView::Of(*ref->chunk)
-                : std::nullopt;
+            packed_scan ? scan::PackedView::Of(*ref->chunk) : std::nullopt;
         if (view) {
           // Packed path: predicate evaluated on the stored words.
           obs::AccumSpan span("scan_packed");
@@ -1987,6 +2008,12 @@ Result<ScanResult> Mistique::Scan(const ScanRequest& request) {
     out.columns = std::move(values.columns);
   } else {
     out.columns.assign(request.columns.size(), {});
+  }
+  // Stamped last: the nested fetches above stamp their own read/rerun.
+  if (obs::QueryTrace* t = obs::CurrentTrace()) {
+    t->strategy = rerun_fallback ? "scan-rerun"
+                  : packed_scan  ? "scan-packed"
+                                 : "scan-decode";
   }
   return out;
 }

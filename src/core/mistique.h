@@ -248,10 +248,12 @@ class Mistique {
   /// Registers `project`.`name` and stores every intermediate's columns at
   /// full precision (QuantScheme::kNone). The imported model has no
   /// executor, so fetches always take the read path — exactly like a model
-  /// recovered from a persisted catalog without AttachPipeline. This is
-  /// the ingest half of cluster rebalancing (docs/CLUSTER.md): the new
-  /// owner shard fetches a model's columns from the old owner and imports
-  /// them locally; the old owner then DeleteModel + Vacuum.
+  /// recovered from a persisted catalog without AttachPipeline. Each
+  /// intermediate's columns share their own partitions, like one layer of
+  /// LogNetwork; exact dedup applies, the similarity search does not.
+  /// This is the ingest half of cluster rebalancing (docs/CLUSTER.md): the
+  /// new owner shard fetches a model's columns from the old owner and
+  /// imports them locally; the old owner then DeleteModel + Vacuum.
   Result<ModelId> ImportModel(
       const std::string& project, const std::string& name,
       const std::vector<ImportIntermediate>& intermediates);
@@ -290,8 +292,14 @@ class Mistique {
       const IntermediateInfo& intermediate, int channel);
 
   /// Fingerprint of a FetchRequest — the key of QueryService's
-  /// per-session result caches.
+  /// per-session result caches. A sampled request enters by the RowBlock
+  /// stride the engine samples with, not by its raw fraction.
   static uint64_t RequestKey(const FetchRequest& request);
+
+  /// True when the engine answers `a` and `b` with the same rows and
+  /// columns: the fields RequestKey hashes are equal. A cache checks it on
+  /// a hit, so a key collision costs a miss instead of a wrong answer.
+  static bool SameRequest(const FetchRequest& a, const FetchRequest& b);
 
   /// Translates GetIntermediates-style keys (project.model.intermediate.
   /// column, column "*" = all; all keys must target one intermediate) into

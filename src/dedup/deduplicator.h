@@ -32,7 +32,7 @@ struct DedupOptions {
 ///
 /// Callers may instead pass an explicit `colocation_group`, which bypasses
 /// the similarity search and co-locates all chunks of the group — the DNN
-/// mode, where columns of one intermediate stay together.
+/// and import mode, where columns of one intermediate stay together.
 class Deduplicator {
  public:
   /// `store` must outlive the deduplicator.

@@ -189,45 +189,6 @@ Result<double> SvccaSimilarity(const std::vector<std::vector<double>>& a,
   return mean / static_cast<double>(rho.size());
 }
 
-Result<std::vector<double>> SvccaClassSensitivity(
-    const std::vector<std::vector<double>>& activations,
-    const std::vector<int>& labels, int num_classes, double variance_frac) {
-  if (activations.empty() || activations[0].empty()) {
-    return Status::InvalidArgument("class sensitivity: empty activations");
-  }
-  const size_t rows = activations[0].size();
-  if (labels.size() != rows) {
-    return Status::InvalidArgument("class sensitivity: label count mismatch");
-  }
-
-  Matrix acts(rows, activations.size());
-  for (size_t c = 0; c < activations.size(); ++c) {
-    for (size_t r = 0; r < rows; ++r) acts.at(r, c) = activations[c][r];
-  }
-  acts.CenterColumns();
-  MISTIQUE_ASSIGN_OR_RETURN(Matrix projected,
-                            SvdProject(acts, variance_frac));
-
-  std::vector<double> out(static_cast<size_t>(num_classes), 0.0);
-  for (int k = 0; k < num_classes; ++k) {
-    Matrix indicator(rows, 1);
-    size_t members = 0;
-    for (size_t r = 0; r < rows; ++r) {
-      const bool in_class = labels[r] == k;
-      indicator.at(r, 0) = in_class ? 1.0 : 0.0;
-      members += in_class;
-    }
-    if (members == 0 || members == rows) {
-      out[static_cast<size_t>(k)] = 0.0;  // Constant indicator: undefined.
-      continue;
-    }
-    MISTIQUE_ASSIGN_OR_RETURN(std::vector<double> rho,
-                              ComputeCca(projected, indicator));
-    out[static_cast<size_t>(k)] = rho.empty() ? 0.0 : rho[0];
-  }
-  return out;
-}
-
 Result<NetDissectResult> NetDissect(
     const std::vector<std::vector<double>>& unit_maps,
     const std::vector<std::vector<uint8_t>>& concept_masks, double alpha) {

@@ -66,16 +66,6 @@ Result<double> SvccaSimilarity(const std::vector<std::vector<double>>& a,
                                const std::vector<std::vector<double>>& b,
                                double variance_frac = 0.99);
 
-/// SVCCA class-sensitivity (the "class sensitivity analyses across the
-/// whole network" use-case from the paper's introduction): for each class,
-/// the canonical correlation between the layer's SVD-projected activations
-/// and that class's one-hot indicator — how linearly decodable the class
-/// is from this layer. Returns one value per class in [0, 1].
-Result<std::vector<double>> SvccaClassSensitivity(
-    const std::vector<std::vector<double>>& activations,
-    const std::vector<int>& labels, int num_classes,
-    double variance_frac = 0.99);
-
 /// Netdissect (Alg. 2): thresholds unit activations at the (1-alpha)
 /// percentile, binarizes the maps, and scores intersection-over-union
 /// against per-image binary concept masks.

@@ -65,7 +65,8 @@ class QueryTrace {
   double est_read_sec = -1;   ///< Eq. 4 t_read estimate; -1 = not reached
   double est_rerun_sec = -1;  ///< Eq. 2/3 t_rerun estimate
   std::string strategy;       ///< "read" | "rerun" | "session-cache" |
-                              ///< "forced-read" | "forward" | ...
+                              ///< "forced-read" | "forward" |
+                              ///< "scan-packed" | "scan-decode" | ...
   bool cache_hit = false;
   bool materialized_now = false;
   bool mispredicted = false;  ///< chosen strategy's actual time exceeded

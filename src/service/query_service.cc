@@ -221,10 +221,12 @@ void QueryService::Submit(
     if (options_.session_cache_entries > 0) {
       cache_lookups_.fetch_add(1, std::memory_order_relaxed);
       std::unique_lock<std::mutex> cache_lock(s->m);
-      if (const FetchResult* cached = s->cache.Get(key)) {
+      const CachedFetch* cached = s->cache.Get(key);
+      if (cached != nullptr &&
+          Mistique::SameRequest(cached->request, request)) {
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         completed_.fetch_add(1, std::memory_order_relaxed);
-        FetchResult hit = *cached;
+        FetchResult hit = cached->result;
         hit.from_cache = true;
         hit.fetch_seconds = 0;
         cache_lock.unlock();
@@ -302,7 +304,7 @@ void QueryService::Submit(
           // reflects a superseded epoch).
           if (cache_epoch_.load(std::memory_order_acquire) == epoch_before &&
               engine_->CurrentEpoch() == engine_epoch_before) {
-            s->cache.Put(key, *answer.result);
+            s->cache.Put(key, {request, *answer.result});
           }
         }
       }

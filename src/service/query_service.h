@@ -198,10 +198,16 @@ class QueryService {
   }
 
  private:
+  /// A cached answer and the request it answers, compared on a hit
+  /// (Mistique::SameRequest) so a key collision costs a miss.
+  struct CachedFetch {
+    FetchRequest request;
+    FetchResult result;
+  };
   struct Session {
     explicit Session(size_t cache_entries) : cache(cache_entries) {}
     std::mutex m;
-    LruCache<uint64_t, FetchResult> cache;
+    LruCache<uint64_t, CachedFetch> cache;
   };
 
   /// Resolves a session handle; returns nullptr (and counts the

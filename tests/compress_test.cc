@@ -142,6 +142,37 @@ TEST(LzssTest, BadDistanceIsCorruption) {
             StatusCode::kCorruption);
 }
 
+TEST(LzssTest, ImpossibleDeclaredLengthIsCorruption) {
+  // 9 bytes declaring 2^62 output bytes: rejected before any allocation.
+  std::vector<uint8_t> stream(8);
+  const uint64_t len = uint64_t{1} << 62;
+  std::memcpy(stream.data(), &len, 8);
+  stream.push_back(0x00);
+  LzssCodec codec;
+  std::vector<uint8_t> output;
+  EXPECT_EQ(codec.Decompress(stream, &output).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(LzssTest, LongestMatchStillDecodes) {
+  // The bound's edge: a literal plus one 65,535-byte match of it, 8
+  // stream bytes for 65,536 output bytes.
+  std::vector<uint8_t> stream(8);
+  const uint64_t len = 65536;
+  std::memcpy(stream.data(), &len, 8);
+  stream.push_back(0x02);  // Control: a literal, then a match.
+  stream.push_back(0x5a);
+  const uint32_t distance = 1;
+  const uint16_t mlen = 0xffff;
+  stream.resize(stream.size() + 6);
+  std::memcpy(stream.data() + 10, &distance, 4);
+  std::memcpy(stream.data() + 14, &mlen, 2);
+  LzssCodec codec;
+  std::vector<uint8_t> output;
+  ASSERT_OK(codec.Decompress(stream, &output));
+  EXPECT_EQ(output, std::vector<uint8_t>(65536, 0x5a));
+}
+
 TEST(RleTest, CompressesRuns) {
   std::vector<uint8_t> input(100000, 7);
   RleCodec codec;

@@ -185,5 +185,97 @@ TEST_F(ImportExportTest, ExportThenImportRoundTripsByteIdentical) {
   }
 }
 
+// A 16 x 4096 KBIT intermediate whose chunks are all distinct, so exact
+// dedup stores every one of them.
+ImportIntermediate KBitIntermediate(const std::string& name, double phase) {
+  const uint64_t rows = 4096;
+  ImportIntermediate in;
+  in.name = name;
+  in.num_rows = rows;
+  in.scheme = QuantScheme::kKBit;
+  in.kbits = 8;
+  for (int c = 0; c < 16; ++c) {
+    in.column_names.push_back("n" + std::to_string(c));
+    std::vector<double> column(rows);
+    for (uint64_t r = 0; r < rows; ++r) {
+      column[r] = std::sin(phase + 0.37 * c + 0.011 * r) * (1.0 + c);
+    }
+    in.columns.push_back(std::move(column));
+  }
+  return in;
+}
+
+// Imports `models` into a fresh store (512-row blocks, sync writes on)
+// and returns the partition files the imports sealed.
+size_t PartitionFilesSealed(const TempDir& dir, const std::string& store,
+                            size_t target_bytes,
+                            const std::vector<std::vector<ImportIntermediate>>&
+                                models) {
+  Mistique mq;
+  MistiqueOptions opts;
+  opts.store.directory = dir.path() + "/" + store;
+  opts.store.partition_target_bytes = target_bytes;
+  opts.row_block_size = 512;
+  EXPECT_OK(mq.Open(opts));
+  const size_t before = mq.store().disk().num_partitions();
+  for (size_t m = 0; m < models.size(); ++m) {
+    EXPECT_OK(
+        mq.ImportModel("proj", "m" + std::to_string(m), models[m]).status());
+  }
+  return mq.store().disk().num_partitions() - before;
+}
+
+TEST(ImportPlacementTest, OnePartitionPerIntermediateNotPerChunk) {
+  // 16 columns x 4096 rows in 512-row blocks: 128 one-byte-per-value
+  // chunks of 512 B, 64 KB in all. Each intermediate fills its own open
+  // partition; no chunk goes through the similarity search.
+  TempDir dir("import_placement");
+  const size_t kMB = 1u << 20;
+  EXPECT_EQ(PartitionFilesSealed(dir, "one", kMB,
+                                 {{KBitIntermediate("layer", 0.0)}}),
+            1u);
+  // Larger than the target: sealed every 20,000 B (40 chunks), so
+  // ceil(65,536 / 20,000) = 4 files.
+  EXPECT_EQ(PartitionFilesSealed(dir, "split", 20000,
+                                 {{KBitIntermediate("layer", 0.0)}}),
+            4u);
+  EXPECT_EQ(PartitionFilesSealed(dir, "two", kMB,
+                                 {{KBitIntermediate("a", 0.0),
+                                   KBitIntermediate("b", 1.0)}}),
+            2u);
+  // Exact dedup still applies: a second model with the same values stores
+  // no chunk and seals no file.
+  EXPECT_EQ(PartitionFilesSealed(dir, "dup", kMB,
+                                 {{KBitIntermediate("layer", 0.0)},
+                                  {KBitIntermediate("layer", 0.0)}}),
+            1u);
+}
+
+TEST(ImportPlacementTest, ValuesSurviveSplitAcrossPartitions) {
+  // Full precision, 8 B a value: 512 KB sealed every 20,000 B, so each
+  // column's chunks span several partitions. Every value comes back exact.
+  TempDir dir("import_values");
+  Mistique mq;
+  MistiqueOptions opts;
+  opts.store.directory = dir.path() + "/store";
+  opts.store.partition_target_bytes = 20000;
+  opts.row_block_size = 512;
+  ASSERT_OK(mq.Open(opts));
+  ImportIntermediate in = KBitIntermediate("layer", 0.0);
+  in.scheme = QuantScheme::kNone;
+  ASSERT_OK(mq.ImportModel("proj", "m", {in}).status());
+  EXPECT_GT(mq.store().disk().num_partitions(), 16u);
+
+  FetchRequest req;
+  req.project = "proj";
+  req.model = "m";
+  req.intermediate = "layer";
+  ASSERT_OK_AND_ASSIGN(FetchResult got, mq.Fetch(req));
+  ASSERT_EQ(got.columns.size(), in.columns.size());
+  for (size_t c = 0; c < in.columns.size(); ++c) {
+    ASSERT_EQ(got.columns[c], in.columns[c]) << "column " << c;
+  }
+}
+
 }  // namespace
 }  // namespace mistique

@@ -1001,56 +1001,64 @@ TEST_F(NetTest, RemoteScanMatchesInProcess) {
 TEST_F(NetTest, RemoteTraceScanCarriesStagesAndSummary) {
   // A quantized DNN store so the scan runs the packed kernels; the trace
   // an enveloped scan brings back must show the scan_packed stage
-  // (docs/SCAN.md).
-  TempDir qdir("net_tracescan");
-  Mistique qmq;
-  {
-    CifarConfig config;
-    config.num_examples = 96;
-    const CifarData data = GenerateCifar(config);
-    auto input = std::make_shared<Tensor>(data.images);
-    MistiqueOptions opts;
-    opts.store.directory = qdir.path() + "/store";
-    opts.strategy = StorageStrategy::kDedup;
-    opts.row_block_size = 32;
-    opts.dnn_scheme = QuantScheme::kKBit;
-    opts.kbits = 4;
-    ASSERT_OK(qmq.Open(opts));
-    DnnScaleConfig scale;
-    scale.cnn_scale = 0.2;
-    auto net = BuildCifarCnn(scale);
-    ASSERT_OK(qmq.LogNetwork(net.get(), input, "cifar", "cnn").status());
-    ASSERT_OK(qmq.Flush());
+  // (docs/SCAN.md) and name the strategy, stamped after the output-column
+  // fetch stamps its own. With packed scans off, the same scan decodes.
+  for (const bool packed : {true, false}) {
+    SCOPED_TRACE(packed ? "packed" : "decode");
+    TempDir qdir(packed ? "net_tracescan_packed" : "net_tracescan_decode");
+    Mistique qmq;
+    {
+      CifarConfig config;
+      config.num_examples = 96;
+      const CifarData data = GenerateCifar(config);
+      auto input = std::make_shared<Tensor>(data.images);
+      MistiqueOptions opts;
+      opts.store.directory = qdir.path() + "/store";
+      opts.strategy = StorageStrategy::kDedup;
+      opts.row_block_size = 32;
+      opts.dnn_scheme = QuantScheme::kKBit;
+      opts.kbits = 4;
+      opts.enable_packed_scan = packed;
+      ASSERT_OK(qmq.Open(opts));
+      DnnScaleConfig scale;
+      scale.cnn_scale = 0.2;
+      auto net = BuildCifarCnn(scale);
+      ASSERT_OK(qmq.LogNetwork(net.get(), input, "cifar", "cnn").status());
+      ASSERT_OK(qmq.Flush());
+    }
+    QueryService qservice(&qmq, {});
+    net::Server qserver(&qservice, {});
+    ASSERT_OK(qserver.Start());
+
+    ScanRequest scan;
+    scan.project = "cifar";
+    scan.model = "cnn";
+    scan.intermediate = "layer7";
+    scan.predicate_column = "n0";
+    scan.lo = -1e30;
+    scan.hi = 1e30;
+    scan.columns = {"n1"};
+    ASSERT_OK_AND_ASSIGN(ScanResult ref, qmq.Scan(scan));
+    ASSERT_EQ(ref.row_ids.size(), 96u);
+
+    net::ClientOptions copts;
+    copts.port = qserver.port();
+    net::Client client(copts);
+    client.SetTraceContext({obs::NewTraceId(), 0, true});
+    ASSERT_OK_AND_ASSIGN(ScanResult remote, client.Scan(scan));
+    std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
+    client.ClearTraceContext();
+    EXPECT_EQ(remote.row_ids, ref.row_ids);
+    EXPECT_EQ(remote.columns, ref.columns);
+    ASSERT_TRUE(trace.has_value());
+    EXPECT_EQ(trace->description, "cifar.cnn.layer7 scan(n0)");
+    EXPECT_GT(trace->total_sec, 0.0);
+    EXPECT_EQ(trace->strategy, packed ? "scan-packed" : "scan-decode");
+    // The predicate's kernel stage survived the wire round-trip.
+    EXPECT_EQ(trace->StageSeconds("scan_packed") > 0.0, packed);
+    EXPECT_EQ(trace->StageSeconds("scan_decode") > 0.0, !packed);
+    qserver.Stop();
   }
-  QueryService qservice(&qmq, {});
-  net::Server qserver(&qservice, {});
-  ASSERT_OK(qserver.Start());
-
-  ScanRequest scan;
-  scan.project = "cifar";
-  scan.model = "cnn";
-  scan.intermediate = "layer7";
-  scan.predicate_column = "n0";
-  scan.lo = -1e30;
-  scan.hi = 1e30;
-  ASSERT_OK_AND_ASSIGN(ScanResult ref, qmq.Scan(scan));
-  ASSERT_EQ(ref.row_ids.size(), 96u);
-
-  net::ClientOptions copts;
-  copts.port = qserver.port();
-  net::Client client(copts);
-  client.SetTraceContext({obs::NewTraceId(), 0, true});
-  ASSERT_OK_AND_ASSIGN(ScanResult remote, client.Scan(scan));
-  std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
-  client.ClearTraceContext();
-  EXPECT_EQ(remote.row_ids.size(), ref.row_ids.size());
-  ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->description, "cifar.cnn.layer7 scan(n0)");
-  EXPECT_GT(trace->total_sec, 0.0);
-  // The compressed-domain kernel stage survived the wire round-trip.
-  EXPECT_GT(trace->StageSeconds("scan_packed"), 0.0);
-  EXPECT_EQ(trace->StageSeconds("scan_decode"), 0.0);
-  qserver.Stop();
 }
 
 TEST_F(NetTest, TracedFetchEnvelopeReturnsTraceAndIdenticalBytes) {

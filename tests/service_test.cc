@@ -1,5 +1,6 @@
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -278,6 +279,74 @@ TEST_F(ServiceTradTest, SessionCacheEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(dropped.from_cache);
   EXPECT_EQ(service.Stats().cache_hits, 1u);
   EXPECT_EQ(service.Stats().cache_lookups, 6u);
+}
+
+TEST_F(ServiceTradTest, SessionCacheAnswersOnlyTheRequestItCached) {
+  // sample_fraction 0.4 samples every 3rd RowBlock and 0.4000005 every
+  // 2nd (k = round(1 / f)). Both once truncated to the same cache key, so
+  // the second fetch returned the first one's rows from the cache.
+  FetchRequest every_third;
+  every_third.project = "zillow";
+  every_third.model = "P1_v0";
+  every_third.intermediate = "train_merged";
+  every_third.columns = {"logerror"};
+  every_third.sample_fraction = 0.4;
+  FetchRequest every_second = every_third;
+  every_second.sample_fraction = 0.4000005;
+  ASSERT_OK_AND_ASSIGN(FetchResult want_third, mq_.Fetch(every_third));
+  ASSERT_OK_AND_ASSIGN(FetchResult want_second, mq_.Fetch(every_second));
+  ASSERT_NE(want_third.row_ids, want_second.row_ids);
+
+  QueryServiceOptions options;
+  options.num_workers = 1;
+  options.session_cache_entries = 4;
+  QueryService service(&mq_, options);
+  const SessionId session = service.OpenSession();
+  ASSERT_OK_AND_ASSIGN(FetchResult third, service.Fetch(session, every_third));
+  EXPECT_FALSE(third.from_cache);
+  ASSERT_OK_AND_ASSIGN(FetchResult second,
+                       service.Fetch(session, every_second));
+  EXPECT_FALSE(second.from_cache);
+  EXPECT_EQ(second.row_ids, want_second.row_ids);
+  EXPECT_EQ(second.columns, want_second.columns);
+
+  // 0.35 samples with the same stride as 0.4, so it is the same answer.
+  FetchRequest same_stride = every_third;
+  same_stride.sample_fraction = 0.35;
+  ASSERT_OK_AND_ASSIGN(FetchResult hit, service.Fetch(session, same_stride));
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(hit.row_ids, want_third.row_ids);
+  EXPECT_EQ(hit.columns, want_third.columns);
+}
+
+TEST(RequestKeyTest, SameRequestComparesWhatTheEngineAnswers) {
+  FetchRequest a;
+  a.project = "p";
+  a.model = "m";
+  a.intermediate = "i";
+  a.sample_fraction = 0.4;
+  FetchRequest b = a;
+  b.sample_fraction = 0.35;  // also every 3rd RowBlock
+  EXPECT_TRUE(Mistique::SameRequest(a, b));
+  EXPECT_EQ(Mistique::RequestKey(a), Mistique::RequestKey(b));
+  b.sample_fraction = 0.4000005;  // every 2nd RowBlock
+  EXPECT_FALSE(Mistique::SameRequest(a, b));
+  EXPECT_NE(Mistique::RequestKey(a), Mistique::RequestKey(b));
+  // Every fraction outside (0, 1) is an exact fetch.
+  a.sample_fraction = 1.0;
+  b.sample_fraction = 0.0;
+  EXPECT_TRUE(Mistique::SameRequest(a, b));
+  b.sample_fraction = 1.0;
+  for (auto change : std::vector<std::function<void(FetchRequest*)>>{
+           [](FetchRequest* r) { r->project = "q"; },
+           [](FetchRequest* r) { r->columns = {"c"}; },
+           [](FetchRequest* r) { r->n_ex = 5; },
+           [](FetchRequest* r) { r->row_ids = {1}; },
+           [](FetchRequest* r) { r->force_read = false; }}) {
+    FetchRequest c = a;
+    change(&c);
+    EXPECT_FALSE(Mistique::SameRequest(a, c));
+  }
 }
 
 TEST_F(ServiceTradTest, GetIntermediatesThroughService) {

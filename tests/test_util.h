@@ -1,6 +1,8 @@
 #ifndef MISTIQUE_TESTS_TEST_UTIL_H_
 #define MISTIQUE_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,16 +44,22 @@ class TestSeed {
   uint64_t seed_;
 };
 
-/// Creates a unique directory under the build tree for a test and removes
-/// it on destruction.
+/// Creates a unique directory under the system temp directory for a test
+/// and removes it on destruction. The name is one path component, unique
+/// per process: parameterized suites and tests carry '/' in their names
+/// ("Seeds/DataStoreModelTest", "RoundTrips/0"), which would otherwise
+/// nest the directory and leave its parents behind.
 class TempDir {
  public:
   explicit TempDir(const std::string& tag) {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    path_ = std::filesystem::temp_directory_path() /
-            ("mistique_test_" + tag + "_" +
-             (info ? std::string(info->test_suite_name()) + "_" + info->name()
-                   : "unknown"));
+    std::string name =
+        "mistique_test_" + tag + "_" +
+        (info ? std::string(info->test_suite_name()) + "_" + info->name()
+              : "unknown") +
+        "_" + std::to_string(::getpid());
+    std::replace(name.begin(), name.end(), '/', '_');
+    path_ = std::filesystem::temp_directory_path() / name;
     std::filesystem::remove_all(path_);
     std::filesystem::create_directories(path_);
   }
