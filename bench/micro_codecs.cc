@@ -71,9 +71,6 @@ BENCHMARK_CAPTURE(BM_CodecCompress, lzss_repetitive, CodecType::kLzss, true)
     ->Arg(1 << 20);
 BENCHMARK_CAPTURE(BM_CodecCompress, rle_repetitive, CodecType::kRle, true)
     ->Arg(1 << 20);
-BENCHMARK_CAPTURE(BM_CodecCompress, dict_random, CodecType::kDictionary,
-                  false)
-    ->Arg(1 << 20);
 BENCHMARK_CAPTURE(BM_CodecDecompress, lzss, CodecType::kLzss)->Arg(1 << 20);
 BENCHMARK_CAPTURE(BM_CodecDecompress, rle, CodecType::kRle)->Arg(1 << 20);
 

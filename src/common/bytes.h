@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,11 +74,13 @@ class ByteReader {
     return Status::OK();
   }
 
-  Status GetBlob(std::vector<uint8_t>* b) {
+  /// Length-prefixed byte blob, borrowed from the buffer being read: the
+  /// span is valid while that buffer is.
+  Status GetBlob(std::span<const uint8_t>* b) {
     uint64_t n = 0;
     MISTIQUE_RETURN_NOT_OK(GetU64(&n));
     if (n > remaining()) return Truncated();
-    b->assign(data_ + pos_, data_ + pos_ + n);
+    *b = {data_ + pos_, static_cast<size_t>(n)};
     pos_ += n;
     return Status::OK();
   }

@@ -1,7 +1,7 @@
 #include "compress/codec.h"
 
 #include "compress/lzss.h"
-#include "compress/simple_codecs.h"
+#include "compress/rle.h"
 
 namespace mistique {
 
@@ -11,10 +11,6 @@ const char* CodecTypeName(CodecType type) {
       return "none";
     case CodecType::kRle:
       return "rle";
-    case CodecType::kDelta:
-      return "delta";
-    case CodecType::kDictionary:
-      return "dictionary";
     case CodecType::kLzss:
       return "lzss";
   }
@@ -26,18 +22,12 @@ Result<const Codec*> GetCodec(CodecType type) {
   // (pointers to heap objects intentionally leaked at exit).
   static const NullCodec* const kNull = new NullCodec();
   static const RleCodec* const kRle = new RleCodec();
-  static const DeltaCodec* const kDelta = new DeltaCodec();
-  static const DictionaryCodec* const kDict = new DictionaryCodec();
   static const LzssCodec* const kLzss = new LzssCodec();
   switch (type) {
     case CodecType::kNone:
       return static_cast<const Codec*>(kNull);
     case CodecType::kRle:
       return static_cast<const Codec*>(kRle);
-    case CodecType::kDelta:
-      return static_cast<const Codec*>(kDelta);
-    case CodecType::kDictionary:
-      return static_cast<const Codec*>(kDict);
     case CodecType::kLzss:
       return static_cast<const Codec*>(kLzss);
   }

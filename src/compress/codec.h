@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,16 +11,16 @@
 
 namespace mistique {
 
-/// Identifies a compression codec in serialized Partitions.
+/// Identifies a compression codec in serialized Partitions. Tags 2-3
+/// belonged to the deleted delta and dictionary codecs and stay reserved:
+/// GetCodec rejects them like any unknown tag.
 enum class CodecType : uint8_t {
   kNone = 0,
   kRle = 1,
-  kDelta = 2,
-  kDictionary = 3,
   kLzss = 4,
 };
 
-/// Returns a printable codec name ("lzss", "rle", ...).
+/// Returns a printable codec name ("none", "rle", "lzss").
 const char* CodecTypeName(CodecType type);
 
 /// A block compressor. Partitions are compressed as a single unit when they
@@ -42,12 +43,30 @@ class Codec {
                           std::vector<uint8_t>* output) const = 0;
 
   /// Decompresses a stream produced by Compress. `output` is overwritten.
-  virtual Status Decompress(const std::vector<uint8_t>& input,
+  /// `input` is borrowed, so a stream is decoded where it was read.
+  virtual Status Decompress(std::span<const uint8_t> input,
                             std::vector<uint8_t>* output) const = 0;
 };
 
+/// Identity codec: stores bytes verbatim. A partition is sealed with it
+/// when the configured codec would not shrink the payload.
+class NullCodec : public Codec {
+ public:
+  CodecType type() const override { return CodecType::kNone; }
+  Status Compress(const std::vector<uint8_t>& input,
+                  std::vector<uint8_t>* output) const override {
+    *output = input;
+    return Status::OK();
+  }
+  Status Decompress(std::span<const uint8_t> input,
+                    std::vector<uint8_t>* output) const override {
+    output->assign(input.begin(), input.end());
+    return Status::OK();
+  }
+};
+
 /// Returns the singleton codec for `type`, or InvalidArgument for an unknown
-/// tag (e.g. read from a corrupted partition footer).
+/// or reserved tag (e.g. read from a corrupted partition footer).
 Result<const Codec*> GetCodec(CodecType type);
 
 }  // namespace mistique

@@ -1,5 +1,6 @@
 #include "compress/lzss.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/bytes.h"
@@ -15,6 +16,9 @@ constexpr size_t kMaxMatch = 0xffff;
 constexpr int kHashBits = 17;
 constexpr size_t kHashSize = size_t{1} << kHashBits;
 constexpr int kMaxChainSteps = 16;
+// Decoder presizing: see LzssCodec::Decompress.
+constexpr uint64_t kPresizeRatio = 64;
+constexpr uint64_t kPresizeFloor = uint64_t{1} << 20;
 
 inline uint32_t HashAt(const uint8_t* p) {
   uint32_t v;
@@ -143,51 +147,83 @@ Status LzssCodec::Compress(const std::vector<uint8_t>& input,
   return Status::OK();
 }
 
-Status LzssCodec::Decompress(const std::vector<uint8_t>& input,
+Status LzssCodec::Decompress(std::span<const uint8_t> input,
                              std::vector<uint8_t>* output) const {
-  ByteReader r(input);
+  const auto truncated = [] {
+    return Status::Corruption("lzss: stream truncated");
+  };
   uint64_t out_len = 0;
-  MISTIQUE_RETURN_NOT_OK(r.GetU64(&out_len));
+  if (input.size() < sizeof(out_len)) return truncated();
+  std::memcpy(&out_len, input.data(), sizeof(out_len));
+  const uint8_t* in = input.data() + sizeof(out_len);
+  const uint8_t* const end = input.data() + input.size();
   // Every 6 stream bytes (one match token, its control bit aside) yield at
   // most kMaxMatch output bytes, a literal byte yields one. A longer
   // declared length is corrupt and must not size the allocation.
-  const uint64_t stream = r.remaining();
+  const uint64_t stream = static_cast<uint64_t>(end - in);
   if (out_len > stream / 6 * kMaxMatch + stream % 6) {
     return Status::Corruption("lzss: declared length exceeds what the "
                               "stream can encode");
   }
+  // The output is sized once for any stream that expands at most
+  // kPresizeRatio times (or to kPresizeFloor bytes), which covers every
+  // sealed partition. Beyond that it grows as the tokens prove their
+  // lengths, so a corrupt header cannot make the decoder zero-fill memory
+  // the stream never writes.
   output->clear();
-  output->reserve(out_len);
+  size_t cap = static_cast<size_t>(
+      std::min(out_len, std::max(stream * kPresizeRatio, kPresizeFloor)));
+  output->resize(cap);
+  uint8_t* out = output->data();
+  const auto grow = [&](size_t need) {
+    cap = static_cast<size_t>(
+        std::min<uint64_t>(out_len, std::max(need, 2 * cap)));
+    output->resize(cap);
+    out = output->data();
+  };
 
-  uint8_t ctrl = 0;
-  int bit = 8;
-  while (output->size() < out_len) {
-    if (bit == 8) {
-      MISTIQUE_RETURN_NOT_OK(r.GetU8(&ctrl));
-      bit = 0;
+  size_t pos = 0;
+  while (pos < out_len) {
+    if (in == end) return truncated();
+    const uint8_t ctrl = *in++;
+    if (ctrl == 0 && cap - pos >= 8 && end - in >= 8) {
+      std::memcpy(out + pos, in, 8);  // Eight literals.
+      pos += 8;
+      in += 8;
+      continue;
     }
-    const bool is_match = (ctrl >> bit) & 1;
-    bit++;
-    if (is_match) {
+    for (int bit = 0; bit < 8 && pos < out_len; ++bit) {
+      if (((ctrl >> bit) & 1) == 0) {
+        if (in == end) return truncated();
+        if (pos == cap) grow(pos + 1);
+        out[pos++] = *in++;
+        continue;
+      }
+      if (end - in < 6) return truncated();
       uint32_t distance = 0;
       uint16_t length = 0;
-      MISTIQUE_RETURN_NOT_OK(r.GetU32(&distance));
-      MISTIQUE_RETURN_NOT_OK(r.GetU16(&length));
-      if (distance == 0 || distance > output->size()) {
+      std::memcpy(&distance, in, 4);
+      std::memcpy(&length, in + 4, 2);
+      in += 6;
+      if (distance == 0 || distance > pos) {
         return Status::Corruption("lzss: invalid match distance");
       }
-      if (output->size() + length > out_len) {
+      if (length > out_len - pos) {
         return Status::Corruption("lzss: match overruns declared length");
       }
-      // Byte-by-byte copy: matches may overlap their own output.
-      size_t src = output->size() - distance;
-      for (uint16_t k = 0; k < length; ++k) {
-        output->push_back((*output)[src + k]);
+      if (length > cap - pos) grow(pos + length);
+      // Copy forward in blocks. The bytes written so far repeat with
+      // period `distance`, so each pass may copy everything between the
+      // source and the write head: one memcpy when the match does not
+      // overlap itself, and doubling blocks when it does.
+      uint8_t* const dst = out + pos;
+      const uint8_t* const src = dst - distance;
+      for (size_t done = 0; done < length;) {
+        const size_t n = std::min<size_t>(done + distance, length - done);
+        std::memcpy(dst + done, src, n);
+        done += n;
       }
-    } else {
-      uint8_t b = 0;
-      MISTIQUE_RETURN_NOT_OK(r.GetU8(&b));
-      output->push_back(b);
+      pos += length;
     }
   }
   return Status::OK();

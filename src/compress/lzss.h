@@ -14,14 +14,14 @@ namespace mistique {
 ///
 /// Token format (byte-aligned for simplicity): a control byte carries 8
 /// flags (LSB first); flag=0 emits a literal byte, flag=1 emits a match as
-/// u32 distance + u16 length. Minimum match length 6 (below that a match
-/// token is bigger than the literals it replaces).
+/// u32 distance + u16 length. Minimum match length 8 (a match token costs
+/// 6 bytes plus its control bit, so shorter matches barely pay).
 class LzssCodec : public Codec {
  public:
   CodecType type() const override { return CodecType::kLzss; }
   Status Compress(const std::vector<uint8_t>& input,
                   std::vector<uint8_t>* output) const override;
-  Status Decompress(const std::vector<uint8_t>& input,
+  Status Decompress(std::span<const uint8_t> input,
                     std::vector<uint8_t>* output) const override;
 };
 

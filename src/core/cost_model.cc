@@ -11,9 +11,10 @@
 namespace mistique {
 
 Status CostModel::Calibrate(DataStore* store, size_t probe_bytes) {
-  // Round-trip a synthetic partition: seal (compress + write) then read
-  // (read + decompress). Random-ish floats defeat trivial compression so
-  // the measured bandwidth is representative of activation data.
+  // Round-trip a synthetic partition: seal it, then read it cold. Gaussian
+  // doubles (and the uniform bins of the second probe) do not shrink under
+  // LZSS, so both probes are sealed raw and ρ_d and ρ_p time a raw read:
+  // file read, CRC and chunk copy, then the decode or packed scan.
   Rng rng(123);
   const size_t n_values = probe_bytes / sizeof(double);
   std::vector<double> values(n_values);
@@ -25,8 +26,8 @@ Status CostModel::Calibrate(DataStore* store, size_t probe_bytes) {
       store->AddChunk(pid, ColumnChunk::FromDoubles(values)));
   MISTIQUE_RETURN_NOT_OK(store->SealPartition(pid));
 
-  // Measure the *cold* path explicitly — file read + decompress + decode —
-  // bypassing the buffer pool (ρ_d models reads that miss it).
+  // Measure the *cold* path explicitly — file read + deserialize + decode
+  // — bypassing the buffer pool (ρ_d models reads that miss it).
   Stopwatch watch;
   MISTIQUE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
                             store->disk().ReadPartition(pid));
@@ -51,7 +52,7 @@ Status CostModel::Calibrate(DataStore* store, size_t probe_bytes) {
   MISTIQUE_RETURN_NOT_OK(store->DropPartition(pid));
 
   // Second probe: ρ_p, the packed-scannable read path. Same cold
-  // file-read + decompress, but the predicate runs on the packed words
+  // file read + deserialize, but the predicate runs on the packed words
   // (src/scan/) instead of dequantizing — so bytes/sec here is the rate
   // the kernels actually sustain over stored KBIT/THRESHOLD bytes.
   Rng prng(124);

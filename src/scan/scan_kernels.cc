@@ -41,13 +41,6 @@ inline uint64_t GeMask(uint64_t x, uint64_t y, uint64_t H) {
   return ((d & ~(x ^ y)) | (x & ~y)) & H;
 }
 
-/// Per-field z != 0, reported in the MSB position. Adding 2^(b-1)-1 to the
-/// low b-1 bits carries into the MSB exactly when they are nonzero; the
-/// sum never leaves the field.
-inline uint64_t NonZeroMask(uint64_t z, uint64_t H, uint64_t low_ones) {
-  return (((z & ~H) + low_ones) | z) & H;
-}
-
 /// MSB-mask restricted to the first `remain` fields (tail words).
 inline uint64_t TailMask(uint64_t m, size_t remain, size_t per_word,
                          unsigned bits) {
@@ -243,30 +236,6 @@ void TopKPacked(const PackedView& v, uint64_t base_row,
       for (size_t j = 0; j < remain; ++j) {
         acc->Offer((x >> (j * b)) & fmask, base_row + first + j);
       }
-    }
-  }
-}
-
-void ColDiffPacked(const PackedView& a, const PackedView& b,
-                   uint64_t base_row, std::vector<uint64_t>* out) {
-  if (a.n != b.n || a.bits != b.bits) return;
-  if (a.n == 0 || a.bits < 1 || a.bits > 8) return;
-  const unsigned bw = a.bits;
-  const size_t per_word = a.fields_per_word();
-  const uint64_t H = Broadcast(1ull << (bw - 1), bw);
-  const uint64_t low_ones = Broadcast((1ull << (bw - 1)) - 1, bw);
-  const size_t words = a.num_words();
-  for (size_t w = 0; w < words; ++w) {
-    const uint64_t z = a.Word(w) ^ b.Word(w);
-    if (z == 0) continue;
-    const uint64_t first = w * per_word;
-    const size_t remain =
-        std::min<size_t>(per_word, static_cast<size_t>(a.n) - first);
-    uint64_t m = TailMask(NonZeroMask(z, H, low_ones), remain, per_word, bw);
-    while (m) {
-      const unsigned tz = static_cast<unsigned>(std::countr_zero(m));
-      out->push_back(base_row + first + tz / bw);
-      m &= m - 1;
     }
   }
 }

@@ -9,7 +9,7 @@
 namespace mistique {
 namespace scan {
 
-/// Compressed-domain scan kernels: POINTQ / TOPK / COL_DIFF predicates
+/// Compressed-domain scan kernels: POINTQ / TOPK predicates
 /// evaluated directly on packed words (docs/SCAN.md). All kernels are
 /// word-parallel: a portable 64-bit SWAR path compares every field of a
 /// word at once, and for 8-bit fields an SSE2/AVX2 path (selected once at
@@ -62,11 +62,6 @@ class TopKAccumulator {
 /// Words where no field can beat the threshold are rejected with one
 /// SWAR compare and never unpacked.
 void TopKPacked(const PackedView& v, uint64_t base_row, TopKAccumulator* acc);
-
-/// COL_DIFF: appends base_row + i for every i where a and b disagree.
-/// Views must have the same n and bits.
-void ColDiffPacked(const PackedView& a, const PackedView& b,
-                   uint64_t base_row, std::vector<uint64_t>* out);
 
 }  // namespace scan
 }  // namespace mistique

@@ -6,6 +6,8 @@ namespace mistique {
 
 namespace {
 constexpr uint32_t kPartitionMagic = 0x4d535451;  // "MSTQ"
+// The codec byte follows the magic and the partition id.
+constexpr size_t kCodecOffset = 8;
 }  // namespace
 
 Status Partition::Add(ChunkId chunk_id, ColumnChunk chunk) {
@@ -54,8 +56,13 @@ Result<std::vector<uint8_t>> Partition::Serialize(const Codec& codec) const {
 
   std::vector<uint8_t> compressed;
   MISTIQUE_RETURN_NOT_OK(codec.Compress(payload.bytes(), &compressed));
-  w.PutBlob(compressed);
-  return w.TakeBytes();
+  // Seal raw what the codec cannot shrink: readers dispatch on the codec
+  // byte, and a raw payload is read where it sits.
+  const bool raw = compressed.size() >= payload.size();
+  w.PutBlob(raw ? payload.bytes() : compressed);
+  std::vector<uint8_t> out = w.TakeBytes();
+  if (raw) out[kCodecOffset] = static_cast<uint8_t>(CodecType::kNone);
+  return out;
 }
 
 Result<std::vector<ChunkId>> Partition::ReadChunkIds(
@@ -120,17 +127,22 @@ Result<Partition> Partition::Deserialize(const std::vector<uint8_t>& bytes) {
     e.dtype = static_cast<DType>(dtype_tag);
   }
 
-  std::vector<uint8_t> compressed;
-  MISTIQUE_RETURN_NOT_OK(r.GetBlob(&compressed));
+  // Decode the stored blob where it sits in `bytes`; a raw one is the
+  // payload itself.
+  std::span<const uint8_t> payload;
+  MISTIQUE_RETURN_NOT_OK(r.GetBlob(&payload));
   MISTIQUE_ASSIGN_OR_RETURN(const Codec* codec,
                             GetCodec(static_cast<CodecType>(codec_tag)));
-  std::vector<uint8_t> payload;
-  MISTIQUE_RETURN_NOT_OK(codec->Decompress(compressed, &payload));
+  std::vector<uint8_t> decoded;
+  if (codec->type() != CodecType::kNone) {
+    MISTIQUE_RETURN_NOT_OK(codec->Decompress(payload, &decoded));
+    payload = decoded;
+  }
 
   Partition p(id);
   size_t offset = 0;
   for (const Entry& e : dir) {
-    if (offset + e.length > payload.size()) {
+    if (e.length > payload.size() - offset) {
       return Status::Corruption("partition payload shorter than directory");
     }
     std::vector<uint8_t> data(payload.begin() + offset,

@@ -48,11 +48,12 @@ class Partition {
   size_t data_bytes() const { return data_bytes_; }
 
   /// Serializes metadata + concatenated chunk payloads, compressing the
-  /// payload area with `codec`. The output is self-contained.
+  /// payload area with `codec`, or storing it raw (codec kNone) when the
+  /// compressed stream would not be smaller. The output is self-contained.
   Result<std::vector<uint8_t>> Serialize(const Codec& codec) const;
 
   /// Reconstructs a partition from Serialize output. The codec is read from
-  /// the stream header.
+  /// the stream header; the payload is decoded straight from `bytes`.
   static Result<Partition> Deserialize(const std::vector<uint8_t>& bytes);
 
   /// Parses only the (uncompressed) chunk directory of a serialized

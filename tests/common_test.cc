@@ -210,7 +210,7 @@ TEST(BytesTest, RoundTripScalars) {
   float f32;
   double f64;
   std::string s;
-  std::vector<uint8_t> blob;
+  std::span<const uint8_t> blob;
   ASSERT_OK(r.GetU8(&u8));
   ASSERT_OK(r.GetU16(&u16));
   ASSERT_OK(r.GetU32(&u32));
@@ -228,7 +228,8 @@ TEST(BytesTest, RoundTripScalars) {
   EXPECT_EQ(f32, 1.5f);
   EXPECT_EQ(f64, -2.25);
   EXPECT_EQ(s, "hello");
-  EXPECT_EQ(blob, (std::vector<uint8_t>{9, 8, 7}));
+  EXPECT_EQ(std::vector<uint8_t>(blob.begin(), blob.end()),
+            (std::vector<uint8_t>{9, 8, 7}));
   EXPECT_EQ(r.remaining(), 0u);
 }
 

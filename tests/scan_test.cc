@@ -299,25 +299,6 @@ TEST(ScanKernelsTest, RandomizedKernelsMatchNaive) {
         ASSERT_EQ(got[i].bin, ref[i].first) << "bits=" << bits << " i=" << i;
         ASSERT_EQ(got[i].row, ref[i].second) << "bits=" << bits << " i=" << i;
       }
-
-      // COL_DIFF vs per-field compare (mutate a random subset).
-      std::vector<uint8_t> other = bins;
-      for (uint8_t& b : other) {
-        if (rng.NextBelow(4) == 0)
-          b = static_cast<uint8_t>(rng.NextBelow(max_bin + 1));
-      }
-      const ColumnChunk chunk_b =
-          bits == 8 ? ColumnChunk::FromBins(other)
-                    : ColumnChunk::FromPackedWords(other, bits);
-      auto view_b = scan::PackedView::Of(chunk_b);
-      ASSERT_TRUE(view_b.has_value());
-      std::vector<uint64_t> diff;
-      scan::ColDiffPacked(*view, *view_b, base, &diff);
-      std::vector<uint64_t> want_diff;
-      for (size_t i = 0; i < n; ++i) {
-        if (bins[i] != other[i]) want_diff.push_back(base + i);
-      }
-      ASSERT_EQ(diff, want_diff) << "bits=" << bits << " n=" << n;
     }
   }
 }

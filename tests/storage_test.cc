@@ -187,6 +187,73 @@ TEST(PartitionTest, DuplicateChunksCompressAway) {
   EXPECT_LT(bytes.size(), values.size() * sizeof(double) * 2);
 }
 
+// A serialized partition's codec byte follows its magic and id.
+constexpr size_t kCodecByte = 8;
+
+void ExpectSameChunks(const Partition& want, const Partition& got) {
+  ASSERT_EQ(got.chunk_ids(), want.chunk_ids());
+  for (ChunkId id : want.chunk_ids()) {
+    ASSERT_OK_AND_ASSIGN(const ColumnChunk* a, want.Get(id));
+    ASSERT_OK_AND_ASSIGN(const ColumnChunk* b, got.Get(id));
+    EXPECT_EQ(b->dtype(), a->dtype());
+    EXPECT_EQ(b->num_values(), a->num_values());
+    EXPECT_EQ(b->data(), a->data()) << "chunk " << id;
+  }
+}
+
+TEST(PartitionTest, IncompressiblePayloadSealsRaw) {
+  // LZSS grows random doubles and bins, so the payload is stored as is.
+  Partition p(5);
+  Rng rng(8);
+  std::vector<uint8_t> bins(300);
+  for (uint8_t& b : bins) b = static_cast<uint8_t>(rng.NextBelow(256));
+  ASSERT_OK(p.Add(1, ColumnChunk::FromDoubles(RandomDoubles(512, 9))));
+  ASSERT_OK(p.Add(2, ColumnChunk::FromBins(bins)));
+  ASSERT_OK_AND_ASSIGN(const Codec* lzss, GetCodec(CodecType::kLzss));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bytes, p.Serialize(*lzss));
+  EXPECT_EQ(bytes[kCodecByte], static_cast<uint8_t>(CodecType::kNone));
+  // Header, two directory entries, the blob length and the raw payload.
+  EXPECT_EQ(bytes.size(), 13 + 2 * 26 + 8 + p.data_bytes());
+  ASSERT_OK_AND_ASSIGN(Partition q, Partition::Deserialize(bytes));
+  ExpectSameChunks(p, q);
+}
+
+TEST(PartitionTest, CompressiblePayloadStaysLzss) {
+  Partition p(6);
+  const std::vector<double> values = RandomDoubles(256, 4);
+  for (ChunkId id = 1; id <= 4; ++id) {
+    ASSERT_OK(p.Add(id, ColumnChunk::FromDoubles(values)));
+  }
+  ASSERT_OK_AND_ASSIGN(const Codec* lzss, GetCodec(CodecType::kLzss));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bytes, p.Serialize(*lzss));
+  EXPECT_EQ(bytes[kCodecByte], static_cast<uint8_t>(CodecType::kLzss));
+  EXPECT_LT(bytes.size(), p.data_bytes());
+  ASSERT_OK_AND_ASSIGN(Partition q, Partition::Deserialize(bytes));
+  ExpectSameChunks(p, q);
+}
+
+TEST(PartitionTest, ReadsLzssPartitionWrittenBeforeRawSeals) {
+  // Serialized by the build that shipped the byte-at-a-time decoder and
+  // always sealed with LZSS: chunk 1 holds 64 bins of 7, chunk 2 the
+  // doubles {1.5, -2.25, 1.5, -2.25}. LZSS shrinks it, so it is still
+  // written byte for byte the same.
+  const std::vector<uint8_t> bytes = HexBytes(
+      "5154534d07000000040200000001000000000000000308400000000000000040"
+      "0000000000000002000000000000000040040000000000000020000000000000"
+      "00280000000000000060000000000000000207010000003f0000000000000000"
+      "f83f0000000000000402c0100000001000");
+  ASSERT_EQ(bytes[kCodecByte], static_cast<uint8_t>(CodecType::kLzss));
+  Partition want(7);
+  ASSERT_OK(want.Add(1, ColumnChunk::FromBins(std::vector<uint8_t>(64, 7))));
+  ASSERT_OK(want.Add(2, ColumnChunk::FromDoubles({1.5, -2.25, 1.5, -2.25})));
+  ASSERT_OK_AND_ASSIGN(Partition got, Partition::Deserialize(bytes));
+  EXPECT_EQ(got.id(), 7u);
+  ExpectSameChunks(want, got);
+  ASSERT_OK_AND_ASSIGN(const Codec* lzss, GetCodec(CodecType::kLzss));
+  ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> again, want.Serialize(*lzss));
+  EXPECT_EQ(again, bytes);
+}
+
 TEST(PartitionTest, CorruptMagicRejected) {
   std::vector<uint8_t> junk(64, 0xab);
   EXPECT_EQ(Partition::Deserialize(junk).status().code(),

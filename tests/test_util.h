@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -43,6 +44,15 @@ class TestSeed {
  private:
   uint64_t seed_;
 };
+
+/// Decodes a hex string ("0aff...") into bytes: golden streams in tests.
+inline std::vector<uint8_t> HexBytes(const std::string& hex) {
+  std::vector<uint8_t> out(hex.size() / 2);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<uint8_t>(std::stoi(hex.substr(2 * i, 2), nullptr, 16));
+  }
+  return out;
+}
 
 /// Creates a unique directory under the system temp directory for a test
 /// and removes it on destruction. The name is one path component, unique
