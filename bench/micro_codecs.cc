@@ -69,10 +69,7 @@ BENCHMARK_CAPTURE(BM_CodecCompress, lzss_random, CodecType::kLzss, false)
 BENCHMARK_CAPTURE(BM_CodecCompress, lzss_repetitive, CodecType::kLzss, true)
     ->Arg(1 << 16)
     ->Arg(1 << 20);
-BENCHMARK_CAPTURE(BM_CodecCompress, rle_repetitive, CodecType::kRle, true)
-    ->Arg(1 << 20);
 BENCHMARK_CAPTURE(BM_CodecDecompress, lzss, CodecType::kLzss)->Arg(1 << 20);
-BENCHMARK_CAPTURE(BM_CodecDecompress, rle, CodecType::kRle)->Arg(1 << 20);
 
 void BM_MinHash(benchmark::State& state) {
   Rng rng(5);

@@ -727,7 +727,7 @@ void ClientWorker(const Config& cfg, uint16_t port, int client_index,
                 std::to_string(a) + "," + std::to_string(b) + "]");
       if (r.ok()) {
         // A successful scan must be exactly the oracle row set — a
-        // silently-partial scatter-gather answer shows up right here.
+        // silently partial or duplicated routed answer shows up here.
         if (r->row_ids.size() != b - a + 1) {
           Violate(desc + ": got " + std::to_string(r->row_ids.size()) +
                   " rows, expected " + std::to_string(b - a + 1));

@@ -2,12 +2,14 @@
 # Cluster smoke test (docs/CLUSTER.md): seed a store, split it across 3
 # shard stores, serve each shard, put a router in front, and verify the
 # full degradation story end-to-end:
-#   - remote fetch through the router is byte-identical to the oracle
-#     (the unsplit store read in-process),
-#   - SIGKILL of one shard turns scatter-gather scans into the *typed*
-#     degraded error (never a silent partial answer) while fetches for
-#     partitions on surviving shards keep serving,
-#   - restarting the shard re-admits it without touching the router,
+#   - remote fetch and scan through the router are byte-identical to the
+#     oracle (the unsplit store read in-process),
+#   - SIGKILL of a shard that owns nothing leaves both byte-identical,
+#     since each routes to the model's owner only,
+#   - SIGKILL of the owner turns the fetch and the scan of its model into
+#     the *typed* degraded error (never a silent partial answer),
+#   - restarting either shard re-admits it without touching the router,
+#     and the owner's answers are byte-identical again,
 #   - SIGTERM drains the router and every shard cleanly.
 #
 # Usage: ci/cluster_smoke.sh [build_dir]   (default: build)
@@ -49,7 +51,7 @@ echo "== seed store =="
 echo "== split across 3 shards =="
 "$CLI" cluster split "$STORE" "$WORK/shard" 3 | tee "$WORK/split.txt"
 # One seeded model: exactly one shard owns it; the others are empty but
-# still part of the ring (and of every scatter-gather scan).
+# still part of the ring.
 OWNER=$(awk '$NF == "models" && $(NF-1) != "0" {print $2; exit}' "$WORK/split.txt")
 EMPTY=$(awk '$NF == "models" && $(NF-1) == "0" {print $2; exit}' "$WORK/split.txt")
 [[ -n "$OWNER" && -n "$EMPTY" ]] || { echo "could not parse split"; exit 1; }
@@ -70,7 +72,7 @@ echo "== routed fetch is byte-identical to the oracle =="
 diff "$WORK/oracle_fetch.csv" "$WORK/routed_fetch.csv"
 echo "identical ($(wc -l < "$WORK/routed_fetch.csv") lines)"
 
-echo "== routed scatter-gather scan matches the oracle =="
+echo "== routed scan is byte-identical to the oracle =="
 "$CLI" remote "$ROUTER" scan "$SCAN_TARGET" taxamount 0 1e9 2>/dev/null \
     > "$WORK/routed_scan.txt"
 diff "$WORK/oracle_scan.txt" "$WORK/routed_scan.txt"
@@ -81,23 +83,51 @@ echo "== shard map: 3 shards up =="
 [[ $(grep -c " up$" "$WORK/shardmap.txt") -eq 3 ]] || {
   echo "expected 3 shards up"; exit 1; }
 
-echo "== SIGKILL shard $EMPTY -> scans degrade (typed), fetches keep serving =="
-kill -9 "${SHARD_PIDS[$EMPTY]}"
-wait "${SHARD_PIDS[$EMPTY]}" 2>/dev/null || true
-smoke_untrack "${SHARD_PIDS[$EMPTY]}"
-SHARD_PIDS[$EMPTY]=""
-RC=0
-"$CLI" remote "$ROUTER" scan "$SCAN_TARGET" taxamount 0 1e9 \
-    > /dev/null 2> "$WORK/degraded.txt" || RC=$?
-[[ $RC -ne 0 ]] || { echo "scan unexpectedly succeeded with a dead shard"; exit 1; }
-grep -q "degraded" "$WORK/degraded.txt" || {
-  echo "scan failed but not with the typed degraded error:";
-  cat "$WORK/degraded.txt"; exit 1; }
-cat "$WORK/degraded.txt"
-# The dead shard owned no partitions: fetches must be untouched.
-"$CLI" remote "$ROUTER" fetch "$KEY" 25 2>/dev/null > "$WORK/during_kill.csv"
-diff "$WORK/oracle_fetch.csv" "$WORK/during_kill.csv"
-echo "fetch still byte-identical with shard $EMPTY dead"
+kill_shard() {  # kill_shard <index>: SIGKILL and reap
+  local i="$1"
+  kill -9 "${SHARD_PIDS[$i]}"
+  wait "${SHARD_PIDS[$i]}" 2>/dev/null || true
+  smoke_untrack "${SHARD_PIDS[$i]}"
+  SHARD_PIDS[$i]=""
+}
+
+expect_routed_identical() {  # expect_routed_identical <tag>
+  "$CLI" remote "$ROUTER" fetch "$KEY" 25 2>/dev/null > "$WORK/$1_fetch.csv"
+  diff "$WORK/oracle_fetch.csv" "$WORK/$1_fetch.csv"
+  "$CLI" remote "$ROUTER" scan "$SCAN_TARGET" taxamount 0 1e9 2>/dev/null \
+      > "$WORK/$1_scan.txt"
+  diff "$WORK/oracle_scan.txt" "$WORK/$1_scan.txt"
+}
+
+expect_degraded() {  # expect_degraded <fetch|scan> <args...>
+  local what="$1" rc=0
+  shift
+  "$CLI" remote "$ROUTER" "$what" "$@" > /dev/null \
+      2> "$WORK/degraded_$what.txt" || rc=$?
+  [[ $rc -ne 0 ]] || {
+    echo "$what unexpectedly succeeded with its owner dead"; exit 1; }
+  grep -q "degraded" "$WORK/degraded_$what.txt" || {
+    echo "$what failed but not with the typed degraded error:";
+    cat "$WORK/degraded_$what.txt"; exit 1; }
+  cat "$WORK/degraded_$what.txt"
+}
+
+wait_all_up() {  # wait_all_up <what>: all 3 shards up in the shard map
+  local _
+  for _ in $(seq 1 50); do
+    if [[ $("$CLI" remote "$ROUTER" shardmap | grep -c " up$") -eq 3 ]]; then
+      return 0
+    fi
+    sleep 0.2
+  done
+  echo "$1 never rejoined"; exit 1
+}
+
+echo "== SIGKILL empty shard $EMPTY -> fetch and scan still byte-identical =="
+kill_shard "$EMPTY"
+# The dead shard owns no partitions: both requests route to the owner.
+expect_routed_identical during_kill
+echo "fetch and scan still byte-identical with shard $EMPTY dead"
 
 echo "== dead shard shows DOWN in the shard map =="
 FOUND=""
@@ -107,20 +137,22 @@ for _ in $(seq 1 50); do
 done
 [[ -n "$FOUND" ]] || { echo "shard never marked DOWN"; exit 1; }
 
-echo "== restarted shard rejoins without a router restart =="
+echo "== restarted empty shard rejoins without a router restart =="
 start_shard "$EMPTY"
-FOUND=""
-for _ in $(seq 1 50); do
-  if [[ $("$CLI" remote "$ROUTER" shardmap | grep -c " up$") -eq 3 ]]; then
-    FOUND=1; break
-  fi
-  sleep 0.2
-done
-[[ -n "$FOUND" ]] || { echo "restarted shard never rejoined"; exit 1; }
-"$CLI" remote "$ROUTER" scan "$SCAN_TARGET" taxamount 0 1e9 2>/dev/null \
-    > "$WORK/rejoined_scan.txt"
-diff "$WORK/oracle_scan.txt" "$WORK/rejoined_scan.txt"
-echo "scan healthy again after rejoin"
+wait_all_up "restarted shard $EMPTY"
+expect_routed_identical rejoined_empty
+echo "fetch and scan healthy after shard $EMPTY rejoined"
+
+echo "== SIGKILL owner shard $OWNER -> its fetch and scan degrade (typed) =="
+kill_shard "$OWNER"
+expect_degraded fetch "$KEY" 25
+expect_degraded scan "$SCAN_TARGET" taxamount 0 1e9
+
+echo "== restarted owner rejoins; its answers are byte-identical again =="
+start_shard "$OWNER"
+wait_all_up "restarted owner $OWNER"
+expect_routed_identical rejoined_owner
+echo "fetch and scan healthy again after the owner rejoined"
 
 echo "== SIGTERM -> clean drain (router, then shards) =="
 stop_clean "$ROUTER_PID" "$WORK/router.log" "routed:"

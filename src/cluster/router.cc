@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -24,10 +23,26 @@ std::string Describe(const ScanRequest& request) {
          " scan(" + request.predicate_column + ")";
 }
 
-/// The strategy a router trace names: fetches forward to their owner,
-/// scans scatter to every shard and gather the answers.
-const char* Strategy(const FetchRequest&) { return "forward"; }
-const char* Strategy(const ScanRequest&) { return "scatter-gather"; }
+/// The strategy a router trace names: fetches and scans alike forward to
+/// the shard that owns their model.
+constexpr const char* kStrategy = "forward";
+
+/// All that differs between routing a fetch and a scan: the client call
+/// that returns the owner's checked answer, and the frame it goes back in.
+Result<std::string> OwnerPayload(net::Client* client,
+                                 const FetchRequest& request) {
+  return client->FetchPayload(request);
+}
+Result<std::string> OwnerPayload(net::Client* client,
+                                 const ScanRequest& request) {
+  return client->ScanPayload(request);
+}
+wire::MsgType ResponseType(const FetchRequest&) {
+  return wire::MsgType::kFetchResp;
+}
+wire::MsgType ResponseType(const ScanRequest&) {
+  return wire::MsgType::kScanResp;
+}
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -35,20 +50,20 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One fetch attempt on a leased shard client; the answer stays in its
-/// checked wire encoding so the router relays it without a re-encode.
-/// With a trace id the request carries a fresh span of that trace (a
-/// retried or hedged attempt's child is then distinguishable), and the
-/// shard's child trace comes back in `child`. The context is cleared
-/// before the lease returns to the pool: pooled clients are reused for
-/// untraced traffic.
-Result<std::string> FetchAttempt(net::Client* client,
-                                 const FetchRequest& request,
+/// One attempt on a leased shard client; the answer stays in its checked
+/// wire encoding so the router relays it without a re-encode. With a
+/// trace id the request carries a fresh span of that trace (a retried or
+/// hedged attempt's child is then distinguishable), and the shard's
+/// child trace comes back in `child`. The context is cleared before the
+/// lease returns to the pool: pooled clients are reused for untraced
+/// traffic.
+template <typename Request>
+Result<std::string> ShardAttempt(net::Client* client, const Request& request,
                                  std::optional<uint64_t> trace_id,
                                  std::optional<obs::QueryTrace>* child) {
-  if (!trace_id.has_value()) return client->FetchPayload(request);
+  if (!trace_id.has_value()) return OwnerPayload(client, request);
   client->SetTraceContext({*trace_id, obs::NewTraceId(), true});
-  Result<std::string> payload = client->FetchPayload(request);
+  Result<std::string> payload = OwnerPayload(client, request);
   *child = client->TakeLastTrace();
   client->ClearTraceContext();
   return payload;
@@ -79,9 +94,10 @@ Router::Router(ShardMap map, RouterOptions options)
   fetches_ = registry.GetCounter("mistique_router_fetches_total",
                                  "Fetches forwarded by the router.");
   scans_ = registry.GetCounter("mistique_router_scans_total",
-                               "Scatter-gather scans coordinated.");
-  traces_ = registry.GetCounter("mistique_router_traces_total",
-                                "Traced fetches forwarded.");
+                               "Scans forwarded by the router.");
+  traces_ = registry.GetCounter(
+      "mistique_router_traces_total",
+      "Fetches and scans traced at the router (client- or self-sampled).");
   retries_ = registry.GetCounter(
       "mistique_router_forward_retries_total",
       "Forward attempts retried after a transport failure.");
@@ -172,8 +188,8 @@ void Router::HealthLoop() {
   }
 }
 
-template <typename T>
-Result<T> Router::Forward(size_t shard_index, const ShardCall<T>& call) {
+Result<std::string> Router::Forward(size_t shard_index,
+                                    const ShardCall& call) {
   if (!ShardUp(shard_index)) {
     return DegradedShard(shard_index, "request not forwarded");
   }
@@ -182,7 +198,7 @@ Result<T> Router::Forward(size_t shard_index, const ShardCall<T>& call) {
        ++attempt) {
     if (attempt > 0) retries_->Increment();
     ShardClientPool::Lease lease = pool_->Checkout(shard_index);
-    Result<T> result = call(lease.get());
+    Result<std::string> result = call(lease.get());
     if (result.ok()) return result;
     last = result.status();
     // Anything the shard *said* (NotFound, InvalidArgument, overload…)
@@ -196,9 +212,10 @@ Result<T> Router::Forward(size_t shard_index, const ShardCall<T>& call) {
   return DegradedShard(shard_index, "forward failed (" + last.message() + ")");
 }
 
-Result<std::string> Router::ForwardFetch(size_t shard_index,
-                                         const FetchRequest& request,
-                                         obs::QueryTrace* root) {
+template <typename Request>
+Result<std::string> Router::ForwardRequest(size_t shard_index,
+                                           const Request& request,
+                                           obs::QueryTrace* root) {
   const std::string label = ShardLabel(map_.shards()[shard_index]);
   std::optional<uint64_t> trace_id;
   if (root != nullptr) trace_id = root->trace_id;
@@ -211,9 +228,9 @@ Result<std::string> Router::ForwardFetch(size_t shard_index,
   if (options_.hedge_delay_sec <= 0) {
     std::optional<obs::QueryTrace> child;
     const double start = root != nullptr ? root->Elapsed() : 0;
-    Result<std::string> result = Forward<std::string>(
+    Result<std::string> result = Forward(
         shard_index, [&request, trace_id, &child](net::Client* client) {
-          return FetchAttempt(client, request, trace_id, &child);
+          return ShardAttempt(client, request, trace_id, &child);
         });
     if (root != nullptr) {
       root->AddEvent("forward " + label, 0, start, root->Elapsed() - start,
@@ -246,7 +263,7 @@ Result<std::string> Router::ForwardFetch(size_t shard_index,
     ShardClientPool::Lease lease = pool->Checkout(shard_index);
     std::optional<obs::QueryTrace> child;
     Result<std::string> r =
-        FetchAttempt(lease.get(), request, trace_id, &child);
+        ShardAttempt(lease.get(), request, trace_id, &child);
     std::lock_guard<std::mutex> lock(state->mutex);
     if (!state->result.has_value()) {
       if (is_hedge) hedge_wins->Increment();
@@ -311,7 +328,7 @@ std::optional<obs::QueryTrace> Router::StartTrace(
   root.node = options_.node_name;
   if (client_sampled) root.parent_span_id = ctx->parent_span_id;
   root.sampled = true;
-  root.strategy = Strategy(request);
+  root.strategy = kStrategy;
   return root;
 }
 
@@ -323,7 +340,7 @@ void Router::RecordIfSlow(const Request& request,
   if (slow <= 0 || total < slow) return;
   obs::QueryTrace trace(obs::NewTraceId(), Describe(request));
   trace.node = options_.node_name;
-  trace.strategy = Strategy(request);
+  trace.strategy = kStrategy;
   trace.total_sec = total;
   recorder_->Record(std::move(trace));
 }
@@ -353,158 +370,21 @@ void Router::Reply(wire::MsgType type, Result<std::string> payload,
   if (root.has_value()) recorder_->Record(std::move(*root));
 }
 
-void Router::HandleFetch(FetchRequest request,
-                         std::optional<wire::TraceContext> ctx,
-                         net::Responder respond) {
-  fetches_->Increment();
+template <typename Request>
+void Router::HandleRouted(Request request,
+                          std::optional<wire::TraceContext> ctx,
+                          net::Responder respond) {
   const auto start = std::chrono::steady_clock::now();
   std::optional<obs::QueryTrace> root = StartTrace(request, ctx);
   const size_t owner =
       map_.OwnerIndex(ShardMap::PartitionKey(request.project, request.model));
   Result<std::string> payload =
-      ForwardFetch(owner, request, root.has_value() ? &*root : nullptr);
+      ForwardRequest(owner, request, root.has_value() ? &*root : nullptr);
   if (!root.has_value() && payload.ok()) {
     RecordIfSlow(request, start);
   }
-  Reply(wire::MsgType::kFetchResp, std::move(payload), ctx, std::move(root),
+  Reply(ResponseType(request), std::move(payload), ctx, std::move(root),
         std::move(respond));
-}
-
-Result<ScanResult> Router::ScatterScan(const ScanRequest& request,
-                                       obs::QueryTrace* root) {
-  const size_t n = map_.shards().size();
-  // Scatter: every shard in parallel. Scans must see the whole key space
-  // (a stale placement could leave rows off the ring owner), so a single
-  // unreachable shard makes the scan degraded — never silently partial.
-  std::vector<Result<ScanResult>> results(
-      n, Result<ScanResult>(Status::Internal("unprobed")));
-  std::vector<std::optional<obs::QueryTrace>> kids(n);
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    threads.emplace_back([this, i, root, &request, &results, &kids] {
-      if (!ShardUp(i)) {
-        results[i] = Status::Unavailable("down at scatter time");
-        return;
-      }
-      ShardClientPool::Lease lease = pool_->Checkout(i);
-      if (root != nullptr) {
-        lease->SetTraceContext({root->trace_id, obs::NewTraceId(), true});
-        results[i] = lease->Scan(request);
-        kids[i] = lease->TakeLastTrace();
-        lease->ClearTraceContext();
-      } else {
-        results[i] = lease->Scan(request);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  if (root != nullptr) {
-    root->AddEvent("scatter " + std::to_string(n) + " shards", 0, 0,
-                   root->Elapsed(), 0);
-  }
-
-  ScanResult merged;
-  std::vector<const ScanResult*> parts;
-  for (size_t i = 0; i < n; ++i) {
-    if (results[i].ok()) {
-      merged.blocks_scanned += results[i]->blocks_scanned;
-      merged.blocks_pruned += results[i]->blocks_pruned;
-      parts.push_back(&*results[i]);
-      if (root != nullptr && kids[i].has_value()) {
-        if (kids[i]->node.empty()) kids[i]->node = ShardLabel(map_.shards()[i]);
-        root->children.push_back(std::move(*kids[i]));
-      }
-      continue;
-    }
-    const Status st = results[i].status();
-    // Shards that simply do not hold this model answer kNotFound: an
-    // empty contribution, not a failure. In a traced scan they still
-    // appear as synthesized children, so the assembled tree always shows
-    // one child per live shard the scatter touched.
-    if (st.code() == StatusCode::kNotFound) {
-      if (root != nullptr) {
-        obs::QueryTrace child(root->trace_id, "no rows on this shard");
-        child.node = ShardLabel(map_.shards()[i]);
-        child.parent_span_id = root->trace_id;
-        child.sampled = true;
-        child.strategy = "not-found";
-        root->children.push_back(std::move(child));
-      }
-      continue;
-    }
-    if (st.code() == StatusCode::kUnavailable) {
-      MarkShard(i, false);
-      return DegradedShard(i, "scan aborted (results would be incomplete)");
-    }
-    // A semantic error (bad predicate column, etc.) — relay it.
-    return st;
-  }
-  if (parts.empty()) {
-    return Status::NotFound(
-        "no shard holds " +
-        ShardMap::PartitionKey(request.project, request.model));
-  }
-
-  // Gather: with model-granularity partitioning exactly one shard
-  // normally contributes; the general path k-way merges by row id so a
-  // mid-rebalance cluster (model briefly visible on two shards) still
-  // answers in row order.
-  for (const ScanResult* part : parts) {
-    if (merged.column_names.empty()) merged.column_names = part->column_names;
-  }
-  if (parts.size() == 1) {
-    const ScanResult* only = parts[0];
-    merged.row_ids = only->row_ids;
-    merged.columns = only->columns;
-  } else {
-    struct RowRef {
-      uint64_t row_id;
-      size_t part;
-      size_t index;
-    };
-    std::vector<RowRef> rows;
-    for (size_t p = 0; p < parts.size(); ++p) {
-      for (size_t r = 0; r < parts[p]->row_ids.size(); ++r) {
-        rows.push_back({parts[p]->row_ids[r], p, r});
-      }
-    }
-    std::sort(rows.begin(), rows.end(),
-              [](const RowRef& a, const RowRef& b) {
-                return a.row_id != b.row_id ? a.row_id < b.row_id
-                                            : a.part < b.part;
-              });
-    merged.columns.resize(merged.column_names.size());
-    for (const RowRef& row : rows) {
-      merged.row_ids.push_back(row.row_id);
-      const ScanResult* part = parts[row.part];
-      for (size_t c = 0;
-           c < merged.columns.size() && c < part->columns.size(); ++c) {
-        merged.columns[c].push_back(part->columns[c][row.index]);
-      }
-    }
-  }
-  return merged;
-}
-
-void Router::HandleScan(ScanRequest request,
-                        std::optional<wire::TraceContext> ctx,
-                        net::Responder respond) {
-  scans_->Increment();
-  const auto start = std::chrono::steady_clock::now();
-  std::optional<obs::QueryTrace> root = StartTrace(request, ctx);
-  Result<ScanResult> merged =
-      ScatterScan(request, root.has_value() ? &*root : nullptr);
-  if (!merged.ok()) {
-    Reply(wire::MsgType::kScanResp, merged.status(), ctx, std::move(root),
-          std::move(respond));
-    return;
-  }
-  if (!root.has_value()) {
-    RecordIfSlow(request, start);
-  }
-  Reply(wire::MsgType::kScanResp, wire::EncodeScanResult(*merged), ctx,
-        std::move(root), std::move(respond));
 }
 
 void Router::HandleStats(net::Responder respond) {
@@ -543,8 +423,8 @@ void Router::HandleStats(net::Responder respond) {
 
 void Router::HandleCatalog(net::Responder respond) {
   // Union of every shard's catalog — rebalance tooling's cluster view.
-  // Like scans, an unreachable shard degrades the answer rather than
-  // silently hiding its models.
+  // An unreachable shard degrades the answer rather than silently hiding
+  // its models.
   wire::CatalogInfo merged;
   for (size_t i = 0; i < map_.shards().size(); ++i) {
     if (!ShardUp(i)) {
@@ -658,7 +538,7 @@ net::FrameDisposition Router::HandleFrame(uint64_t conn_token,
     if (!done->exchange(true)) in_flight_.fetch_sub(1);
   };
 
-  // Fetches and scans take one path each, bare or inside a kTracedReq
+  // Fetches and scans take one path, bare or inside a kTracedReq
   // envelope; an envelope around anything else dispatches its inner frame
   // as if it had arrived bare and wraps the answer back up.
   std::optional<wire::TraceContext> ctx;
@@ -703,9 +583,10 @@ net::FrameDisposition Router::HandleFrame(uint64_t conn_token,
         tracked(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
         return net::FrameDisposition::kMalformed;
       }
+      fetches_->Increment();
       workers_->Submit([this, ctx, request = std::move(request),
                         tracked = std::move(tracked)]() mutable {
-        HandleFetch(std::move(request), ctx, std::move(tracked));
+        HandleRouted(std::move(request), ctx, std::move(tracked));
       });
       return net::FrameDisposition::kOk;
     }
@@ -718,9 +599,10 @@ net::FrameDisposition Router::HandleFrame(uint64_t conn_token,
         tracked(wire::MsgType::kErrorResp, wire::EncodeError(decoded));
         return net::FrameDisposition::kMalformed;
       }
+      scans_->Increment();
       workers_->Submit([this, ctx, request = std::move(request),
                         tracked = std::move(tracked)]() mutable {
-        HandleScan(std::move(request), ctx, std::move(tracked));
+        HandleRouted(std::move(request), ctx, std::move(tracked));
       });
       return net::FrameDisposition::kOk;
     }

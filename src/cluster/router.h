@@ -43,11 +43,11 @@ struct RouterOptions {
   /// Per-probe budget; a shard that cannot answer kHealthReq this fast
   /// is marked down.
   double health_timeout_sec = 1.0;
-  /// > 0 enables tail-latency hedging for single-shard requests: if the
+  /// > 0 enables tail-latency hedging for fetches and scans: if the
   /// primary attempt has not answered after this delay, a duplicate is
   /// issued on a second pooled connection and the first answer wins.
-  /// (Shards hold disjoint data, so hedges target the same shard; this
-  /// papers over a slow connection or a stalled worker, not a dead
+  /// (Shards hold disjoint data, so hedges target the same owner shard;
+  /// this papers over a slow connection or a stalled worker, not a dead
   /// machine.)
   double hedge_delay_sec = 0;
   /// Flight recorder fed with assembled trace trees (sampled traffic)
@@ -89,15 +89,14 @@ struct RouterStats {
 /// across N single-store shard servers behind one wire endpoint
 /// (docs/CLUSTER.md).
 ///
-/// Requests route by the consistent-hash ShardMap: fetches go straight to
-/// the partition's owner (models are whole-shard,
-/// so every fetch is single-shard); scans scatter to every shard and the
-/// results gather-merge sorted by row id. A health thread probes each
-/// shard with kHealthReq; a dead shard degrades only the partitions it
-/// owns — fetches for them (and any scan, which by definition touches
-/// every shard) answer with the typed kDegraded wire error instead of a
-/// silent partial result, while the rest of the key space keeps serving.
-/// A restarted shard is re-admitted by the next successful probe; the
+/// Requests route by the consistent-hash ShardMap: a fetch or a scan names
+/// one model, models are whole-shard, so each goes straight to the owner
+/// of its `project.model`, and the owner's checked answer is relayed byte
+/// for byte. A health thread probes each shard with kHealthReq; a dead
+/// shard degrades only the partitions it owns — fetches and scans of its
+/// models answer with the typed kDegraded wire error instead of a silent
+/// partial result, while the rest of the key space keeps serving. A
+/// restarted shard is re-admitted by the next successful probe; the
 /// router never needs a restart.
 ///
 /// Plug a Router into net::Server and it speaks the ordinary protocol —
@@ -128,44 +127,35 @@ class Router : public net::FrameHandler {
   bool ShardUp(size_t shard_index) const;
 
  private:
-  /// A forwarded request outcome plus how it got there.
-  template <typename T>
-  using ShardCall = std::function<Result<T>(net::Client*)>;
+  /// One call on a leased shard client, returning the shard's answer.
+  using ShardCall = std::function<Result<std::string>(net::Client*)>;
 
   void MarkShard(size_t shard_index, bool up);
 
   /// Bounded-retry forward to one shard; marks it down on exhausted
   /// kUnavailable and converts the failure to the typed degraded error.
-  template <typename T>
-  Result<T> Forward(size_t shard_index, const ShardCall<T>& call);
-  /// Forward with optional tail-latency hedging (fetch path). Returns
-  /// the owner shard's kFetchResp payload, checked but not decoded, for
-  /// the caller to relay byte for byte. With a non-null `root`, every
-  /// attempt propagates the trace context to its shard, attempt spans
-  /// (one "forward" span, or primary + hedge with the winner tagged) land
-  /// in `root`, and the winning shard's child trace is grafted under it.
-  Result<std::string> ForwardFetch(size_t shard_index,
-                                   const FetchRequest& request,
-                                   obs::QueryTrace* root);
-  /// The scatter-gather scan shared by the plain and traced paths. With
-  /// a non-null `root`, every scattered shard call carries the trace
-  /// context and contributes one child trace (shards that answered
-  /// kNotFound get a synthesized "not-found" child, so the tree always
-  /// shows one child per live shard the scatter touched).
-  Result<ScanResult> ScatterScan(const ScanRequest& request,
-                                 obs::QueryTrace* root);
+  Result<std::string> Forward(size_t shard_index, const ShardCall& call);
+  /// Forward of a FetchRequest or ScanRequest, with optional tail-latency
+  /// hedging. Returns the owner shard's kFetchResp or kScanResp payload,
+  /// checked but not decoded, for the caller to relay byte for byte. With
+  /// a non-null `root`, every attempt propagates the trace context to its
+  /// shard, attempt spans (one "forward" span, or primary + hedge with
+  /// the winner tagged) land in `root`, and the winning shard's child
+  /// trace is grafted under it.
+  template <typename Request>
+  Result<std::string> ForwardRequest(size_t shard_index,
+                                     const Request& request,
+                                     obs::QueryTrace* root);
 
-  /// One handler per request kind. `ctx` is set when the request arrived
-  /// in a kTracedReq envelope; the answer then goes back in one. A
-  /// client-sampled context, or the router's own sampling, builds this
-  /// hop's root trace: the forward/scatter runs under it, the tree is
-  /// assembled and recorded, and it rides the answer only when the client
-  /// sampled it.
-  void HandleFetch(FetchRequest request,
-                   std::optional<wire::TraceContext> ctx,
-                   net::Responder respond);
-  void HandleScan(ScanRequest request, std::optional<wire::TraceContext> ctx,
-                  net::Responder respond);
+  /// The one handler for fetches and scans: owner, forward, reply. `ctx`
+  /// is set when the request arrived in a kTracedReq envelope; the answer
+  /// then goes back in one. A client-sampled context, or the router's own
+  /// sampling, builds this hop's root trace: the forward runs under it,
+  /// the tree is assembled and recorded, and it rides the answer only
+  /// when the client sampled it.
+  template <typename Request>
+  void HandleRouted(Request request, std::optional<wire::TraceContext> ctx,
+                    net::Responder respond);
   /// This hop's root trace, or nothing when neither the client nor the
   /// router's sampling policy traces the request.
   template <typename Request>

@@ -1,7 +1,6 @@
 #include "compress/codec.h"
 
 #include "compress/lzss.h"
-#include "compress/rle.h"
 
 namespace mistique {
 
@@ -9,8 +8,6 @@ const char* CodecTypeName(CodecType type) {
   switch (type) {
     case CodecType::kNone:
       return "none";
-    case CodecType::kRle:
-      return "rle";
     case CodecType::kLzss:
       return "lzss";
   }
@@ -21,13 +18,10 @@ Result<const Codec*> GetCodec(CodecType type) {
   // Codecs are stateless; function-local statics avoid global destructors
   // (pointers to heap objects intentionally leaked at exit).
   static const NullCodec* const kNull = new NullCodec();
-  static const RleCodec* const kRle = new RleCodec();
   static const LzssCodec* const kLzss = new LzssCodec();
   switch (type) {
     case CodecType::kNone:
       return static_cast<const Codec*>(kNull);
-    case CodecType::kRle:
-      return static_cast<const Codec*>(kRle);
     case CodecType::kLzss:
       return static_cast<const Codec*>(kLzss);
   }

@@ -11,16 +11,15 @@
 
 namespace mistique {
 
-/// Identifies a compression codec in serialized Partitions. Tags 2-3
-/// belonged to the deleted delta and dictionary codecs and stay reserved:
-/// GetCodec rejects them like any unknown tag.
+/// Identifies a compression codec in serialized Partitions. Tags 1-3
+/// belonged to the deleted rle, delta and dictionary codecs and stay
+/// reserved: GetCodec rejects them like any unknown tag.
 enum class CodecType : uint8_t {
   kNone = 0,
-  kRle = 1,
   kLzss = 4,
 };
 
-/// Returns a printable codec name ("none", "rle", "lzss").
+/// Returns a printable codec name ("none", "lzss").
 const char* CodecTypeName(CodecType type);
 
 /// A block compressor. Partitions are compressed as a single unit when they

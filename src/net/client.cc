@@ -368,6 +368,13 @@ Result<std::string> Client::FetchPayload(const FetchRequest& request) {
 }
 
 Result<ScanResult> Client::Scan(const ScanRequest& request) {
+  MISTIQUE_ASSIGN_OR_RETURN(std::string payload, ScanPayload(request));
+  ScanResult result;
+  MISTIQUE_RETURN_NOT_OK(wire::DecodeScanResult(payload, &result));
+  return result;
+}
+
+Result<std::string> Client::ScanPayload(const ScanRequest& request) {
   wire::Frame resp;
   MISTIQUE_RETURN_NOT_OK(Call(
       wire::MsgType::kScanReq, /*with_session=*/true,
@@ -375,9 +382,8 @@ Result<ScanResult> Client::Scan(const ScanRequest& request) {
         return wire::EncodeScanRequest(session, request);
       },
       wire::MsgType::kScanResp, &resp));
-  ScanResult result;
-  MISTIQUE_RETURN_NOT_OK(wire::DecodeScanResult(resp.payload, &result));
-  return result;
+  MISTIQUE_RETURN_NOT_OK(wire::CheckScanResult(resp.payload));
+  return std::move(resp.payload);
 }
 
 Result<ServiceStats> Client::Stats() {

@@ -85,6 +85,9 @@ class Client {
   /// would. A router relays these bytes unchanged.
   Result<std::string> FetchPayload(const FetchRequest& request);
   Result<ScanResult> Scan(const ScanRequest& request);
+  /// Scan without the decode, checked with wire::CheckScanResult (as
+  /// FetchPayload is for fetches).
+  Result<std::string> ScanPayload(const ScanRequest& request);
   Result<ServiceStats> Stats();
   /// Prometheus-style exposition text scraped from the server.
   Result<std::string> Metrics();

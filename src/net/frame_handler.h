@@ -36,9 +36,9 @@ enum class FrameDisposition {
 /// What a net::Server serves. The server owns sockets, the poll loop,
 /// handshake, frame parsing, and response flushing; the handler owns
 /// request semantics. Two implementations exist: ServiceHandler (a
-/// single-node QueryService — the PR 4 behavior) and cluster::Router
-/// (scatter-gather over many shards). Both speak the same wire protocol,
-/// so a client cannot tell a router from a shard.
+/// single-node QueryService) and cluster::Router (routes each request to
+/// the shard that owns its model). Both speak the same wire protocol, so
+/// a client cannot tell a router from a shard.
 ///
 /// Threading: HandleFrame and OnConnectionClosed run on the server's I/O
 /// thread and must not block (dispatch slow work to a pool and respond

@@ -53,7 +53,7 @@ struct ServerStats {
 /// multiplexing every connection, with request semantics delegated to the
 /// handler (docs/NETWORK.md). The QueryService constructor serves a
 /// single store (ServiceHandler); a cluster::Router handler makes the
-/// same front door a scatter-gather coordinator (docs/CLUSTER.md).
+/// same front door a sharded cluster's router (docs/CLUSTER.md).
 ///
 /// The I/O thread owns all socket state. It accepts (non-blocking),
 /// validates the handshake, accumulates partial frames per connection,

@@ -170,7 +170,8 @@ class Reader {
   Status GetF64Vec(std::vector<double>* v);
   Status GetStringVec(std::vector<std::string>* v);
   /// Layout-only twins of the getters above: the same checks, same
-  /// failures, but nothing is copied out (CheckFetchResult).
+  /// failures, but nothing is copied out (CheckFetchResult,
+  /// CheckScanResult).
   Status SkipU64Vec();
   Status SkipF64Vec();
   Status SkipStringVec();
@@ -248,6 +249,10 @@ Status DecodeScanRequest(const std::string& payload, uint64_t* session,
 
 std::string EncodeScanResult(const ScanResult& result);
 Status DecodeScanResult(const std::string& payload, ScanResult* result);
+/// CheckFetchResult's twin for a kScanResp payload: accepts and rejects
+/// exactly what DecodeScanResult does, so a router can relay the owner
+/// shard's scan answer byte for byte.
+Status CheckScanResult(const std::string& payload);
 
 std::string EncodeStats(const ServiceStats& stats);
 Status DecodeStats(const std::string& payload, ServiceStats* stats);

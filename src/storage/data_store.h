@@ -29,7 +29,7 @@ struct DataStoreOptions {
   /// A partition is sealed (compressed + persisted) once its uncompressed
   /// payload reaches this size.
   size_t partition_target_bytes = 1ull << 22;
-  /// Codec applied to sealed partitions.
+  /// Codec applied to sealed partitions: kLzss, or kNone to store raw.
   CodecType codec = CodecType::kLzss;
   /// fsync partition files and catalog snapshots (write-temp + fsync +
   /// atomic rename). Leave on; benches may disable it to isolate I/O cost.

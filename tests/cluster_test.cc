@@ -1,12 +1,15 @@
 /// Cluster layer tests (docs/CLUSTER.md): consistent-hash ShardMap
 /// properties, the new wire frames, ImportModel/ExportCatalog round
 /// trips, rebalance primitives, and the Router end-to-end against a
-/// single-store oracle — including the degradation contract: a scan with
-/// an unreachable shard yields the typed degraded error, never a silent
-/// partial answer.
+/// single-store oracle — including the degradation contract: a fetch or
+/// scan whose owner shard is unreachable yields the typed degraded error,
+/// never a silent partial answer, while other shards' models keep serving.
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -471,8 +474,17 @@ class RouterTest : public ::testing::Test {
 
     std::vector<ShardSpec> live;
     for (int s = 0; s < 3; ++s) {
+      // Named per shard, so a routed trace's child tells which shard ran.
+      QueryServiceOptions service_options;
+      service_options.node_name = "shard" + std::to_string(s);
+      service_options.pre_execute_hook = [this] {
+        const int stall_us = stall_us_.load();
+        if (stall_us > 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
+        }
+      };
       shard_services_.push_back(
-          std::make_unique<QueryService>(shard_ptrs[s]));
+          std::make_unique<QueryService>(shard_ptrs[s], service_options));
       shard_servers_.push_back(
           std::make_unique<net::Server>(shard_services_.back().get()));
       ASSERT_OK(shard_servers_.back()->Start());
@@ -517,6 +529,41 @@ class RouterTest : public ::testing::Test {
     return req;
   }
 
+  ScanRequest ScanReq(const std::string& model) {
+    ScanRequest scan;
+    scan.project = "proj";
+    scan.model = model;
+    scan.intermediate = "pred";
+    scan.predicate_column = "score";
+    scan.lo = 0;
+    scan.hi = 1;
+    scan.columns = {"pred", "score"};
+    return scan;
+  }
+
+  /// A routed scan answers the oracle's rows: the same row ids once each,
+  /// the same names, and column values equal bit for bit.
+  static void ExpectSameRows(const ScanResult& got, const ScanResult& want,
+                             const std::string& what) {
+    EXPECT_EQ(got.row_ids, want.row_ids) << what;
+    EXPECT_EQ(got.column_names, want.column_names) << what;
+    ASSERT_EQ(got.columns.size(), want.columns.size()) << what;
+    for (size_t c = 0; c < got.columns.size(); ++c) {
+      ASSERT_EQ(got.columns[c].size(), want.columns[c].size()) << what;
+      EXPECT_EQ(std::memcmp(got.columns[c].data(), want.columns[c].data(),
+                            got.columns[c].size() * sizeof(double)),
+                0)
+          << what << " column " << c;
+    }
+  }
+
+  void ExpectScanMatchesOracle(net::Client* client, const std::string& model) {
+    ASSERT_OK_AND_ASSIGN(ScanResult ref, oracle_.Scan(ScanReq(model)));
+    ASSERT_FALSE(ref.row_ids.empty()) << model;
+    ASSERT_OK_AND_ASSIGN(ScanResult remote, client->Scan(ScanReq(model)));
+    ExpectSameRows(remote, ref, model);
+  }
+
   size_t OwnerOf(const std::string& model) const {
     return router_->map().OwnerIndex(ShardMap::PartitionKey("proj", model));
   }
@@ -545,6 +592,9 @@ class RouterTest : public ::testing::Test {
 
   std::unique_ptr<TempDir> dir_;
   Mistique oracle_;
+  /// Microseconds each shard request waits before it runs (0: none), so
+  /// a hedged router's primary is still out when its hedge fires.
+  std::atomic<int> stall_us_{0};
   std::vector<std::unique_ptr<Mistique>> shard_stores_;
   std::vector<std::unique_ptr<QueryService>> shard_services_;
   std::vector<std::unique_ptr<net::Server>> shard_servers_;
@@ -567,31 +617,32 @@ TEST_F(RouterTest, FetchesMatchOracleByteForByte) {
 
 TEST_F(RouterTest, ScatterGatherScanMatchesOracle) {
   net::Client client(RouterClientOpts());
-  ScanRequest scan;
-  scan.project = "proj";
-  scan.model = "m2";
-  scan.intermediate = "pred";
-  scan.predicate_column = "score";
-  scan.lo = 0;
-  scan.hi = 1;
-  scan.columns = {"pred", "score"};
-  ASSERT_OK_AND_ASSIGN(ScanResult ref, oracle_.Scan(scan));
-  ASSERT_FALSE(ref.row_ids.empty());
+  for (int i = 0; i < kModels; ++i) {
+    ExpectScanMatchesOracle(&client, "m" + std::to_string(i));
+  }
+  EXPECT_GE(router_->Stats().scans, static_cast<uint64_t>(kModels));
+}
 
-  ASSERT_OK_AND_ASSIGN(ScanResult remote, client.Scan(scan));
-  EXPECT_EQ(remote.row_ids, ref.row_ids);
-  EXPECT_EQ(remote.columns, ref.columns);
-  EXPECT_EQ(remote.column_names, ref.column_names);
+// The PullModel window: a model copied to a second shard before cut-over
+// sits on two shards at once. The routed scan answers from the ring
+// owner alone, so each row comes back once.
+TEST_F(RouterTest, ScanOfAModelOnTwoShardsReturnsEachRowOnce) {
+  const std::string model = "m2";
+  const size_t copy = (OwnerOf(model) + 1) % shard_stores_.size();
+  ASSERT_OK(shard_stores_[copy]
+                ->ImportModel("proj", model, SyntheticModel(2))
+                .status());
+  ASSERT_OK_AND_ASSIGN(ScanResult on_copy,
+                       shard_stores_[copy]->Scan(ScanReq(model)));
+  ASSERT_FALSE(on_copy.row_ids.empty());
+
+  net::Client client(RouterClientOpts());
+  ExpectScanMatchesOracle(&client, model);
 }
 
 TEST_F(RouterTest, ScanOnUnknownModelIsNotFoundNotDegraded) {
   net::Client client(RouterClientOpts());
-  ScanRequest scan;
-  scan.project = "proj";
-  scan.model = "nope";
-  scan.intermediate = "pred";
-  scan.predicate_column = "score";
-  const Status st = client.Scan(scan).status();
+  const Status st = client.Scan(ScanReq("nope")).status();
   EXPECT_EQ(st.code(), StatusCode::kNotFound) << st.ToString();
   EXPECT_FALSE(wire::IsDegraded(st));
 }
@@ -631,22 +682,30 @@ TEST_F(RouterTest, CatalogUnionsAllShards) {
   EXPECT_EQ(models.size(), static_cast<size_t>(kModels));
 }
 
-// Satellite (c): a scatter-gather scan with one shard unavailable must
-// yield the typed degraded error — never a silent partial answer.
-TEST_F(RouterTest, ScanDegradesTypedWhenAnyShardIsDown) {
+// A scan whose owner shard is unavailable yields the typed degraded
+// error — never a silent partial or empty answer.
+TEST_F(RouterTest, ScanDegradesTypedWhenItsOwnerIsDown) {
+  const size_t victim = 1;
   const uint64_t degraded_before = router_->Stats().degraded;
-  shard_servers_[1]->Stop();
+  shard_servers_[victim]->Stop();
 
   net::Client client(RouterClientOpts());
-  ScanRequest scan;
-  scan.project = "proj";
-  scan.model = "m0";
-  scan.intermediate = "pred";
-  scan.predicate_column = "score";
-  const Status st = client.Scan(scan).status();
+  const Status st = client.Scan(ScanReq(ModelOnShard(victim))).status();
   EXPECT_EQ(st.code(), StatusCode::kUnavailable) << st.ToString();
   EXPECT_TRUE(wire::IsDegraded(st)) << st.ToString();
   EXPECT_GT(router_->Stats().degraded, degraded_before);
+}
+
+// A down shard costs only its own models: a scan of a model owned by a
+// live shard answers, byte-identical to the oracle.
+TEST_F(RouterTest, ScanAnswersWhileAnotherShardIsDown) {
+  const size_t victim = 2;
+  shard_servers_[victim]->Stop();
+  ASSERT_TRUE(WaitFor([&] { return !router_->ShardUp(victim); }));
+
+  net::Client client(RouterClientOpts());
+  ExpectScanMatchesOracle(&client,
+                          ModelOnShard(victim, /*want_owned=*/false));
 }
 
 TEST_F(RouterTest, DeadShardDegradesOnlyItsPartitions) {
@@ -727,70 +786,44 @@ TEST_F(RouterTest, HedgedFetchStillMatchesOracle) {
   hedged->Stop();
 }
 
-// Tentpole acceptance: a traced scan through the router comes back as
-// ONE assembled tree — router root, one child per live shard the
-// scatter touched — while the merged rows stay byte-identical to the
-// untraced path.
-TEST_F(RouterTest, TracedScatterScanAssemblesOneChildPerLiveShard) {
+// A traced scan through the router comes back as ONE assembled tree: the
+// router's root, strategy "forward", and the owner shard's child with its
+// engine scan stages, while the rows stay byte-identical to the oracle.
+TEST_F(RouterTest, TracedScanGraftsTheOwnersChild) {
   net::Client client(RouterClientOpts());
-  ScanRequest scan;
-  scan.project = "proj";
-  scan.model = "m2";
-  scan.intermediate = "pred";
-  scan.predicate_column = "score";
-  scan.lo = 0;
-  scan.hi = 1;
-  scan.columns = {"pred", "score"};
-  ASSERT_OK_AND_ASSIGN(ScanResult ref, oracle_.Scan(scan));
+  const std::string model = "m2";
+  ASSERT_OK_AND_ASSIGN(ScanResult ref, oracle_.Scan(ScanReq(model)));
   ASSERT_FALSE(ref.row_ids.empty());
 
   const uint64_t trace_id = obs::NewTraceId();
   client.SetTraceContext({trace_id, 0, true});
-  ASSERT_OK_AND_ASSIGN(ScanResult remote, client.Scan(scan));
+  ASSERT_OK_AND_ASSIGN(ScanResult remote, client.Scan(ScanReq(model)));
   std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
   client.ClearTraceContext();
-
-  EXPECT_EQ(remote.row_ids, ref.row_ids);
-  EXPECT_EQ(remote.columns, ref.columns);
-  EXPECT_EQ(remote.column_names, ref.column_names);
+  ExpectSameRows(remote, ref, model);
 
   ASSERT_TRUE(trace.has_value());
   EXPECT_EQ(trace->trace_id, trace_id);
   EXPECT_EQ(trace->node, "router");
-  EXPECT_EQ(trace->strategy, "scatter-gather");
+  EXPECT_EQ(trace->strategy, "forward");
   EXPECT_TRUE(trace->sampled);
   EXPECT_GT(trace->total_sec, 0.0);
-  ASSERT_EQ(trace->children.size(), 3u);  // one child per live shard
-
-  size_t with_rows = 0;
-  size_t not_found = 0;
-  for (const obs::QueryTrace& child : trace->children) {
-    EXPECT_EQ(child.trace_id, trace_id) << child.node;
-    EXPECT_TRUE(child.sampled) << child.node;
-    EXPECT_FALSE(child.node.empty());
-    if (child.strategy == "not-found") {
-      ++not_found;
-    } else {
-      ++with_rows;
-      // The owning shard's child carries its own engine scan stages.
-      EXPECT_GT(child.StageSeconds("scan_decode") +
-                    child.StageSeconds("scan_packed"),
-                0.0)
-          << child.node;
-      EXPECT_GT(child.total_sec, 0.0) << child.node;
-    }
-  }
-  // The model lives on exactly one shard; the other two scatter legs
-  // answered not-found and were synthesized into the tree so shard
-  // coverage stays visible.
-  EXPECT_EQ(with_rows, 1u);
-  EXPECT_EQ(not_found, 2u);
+  ASSERT_EQ(trace->children.size(), 1u);
+  const obs::QueryTrace& child = trace->children[0];
+  EXPECT_EQ(child.node, "shard" + std::to_string(OwnerOf(model)));
+  EXPECT_EQ(child.trace_id, trace_id);
+  EXPECT_TRUE(child.sampled);
+  EXPECT_GT(child.StageSeconds("scan_decode") +
+                child.StageSeconds("scan_packed"),
+            0.0);
+  EXPECT_GT(child.total_sec, 0.0);
 }
 
 // Tentpole acceptance: hedged duplicates become visible in the trace —
 // the root carries one attempt span per launch, the winner tagged, and
 // only the winning attempt's child trace is grafted.
 TEST_F(RouterTest, HedgedTracedFetchShowsBothAttemptsInRoot) {
+  stall_us_ = 2000;  // every primary is still out after the hedge delay
   RouterOptions hedged_options;
   hedged_options.health_interval_sec = 0.05;
   hedged_options.hedge_delay_sec = 0.0001;  // hedge almost every request
@@ -833,7 +866,7 @@ TEST_F(RouterTest, HedgedTracedFetchShowsBothAttemptsInRoot) {
     EXPECT_EQ(won, 1) << model;  // exactly the winning attempt is tagged
     saw_hedge_attempt = saw_hedge_attempt || hedge;
   }
-  // With a 0.1 ms hedge delay at least one of the eight fetches hedged;
+  // With a 0.1 ms hedge delay and 2 ms shard stalls every fetch hedged;
   // both attempts must then be visible in that request's root.
   EXPECT_TRUE(saw_hedge_attempt);
   EXPECT_GT(hedged->Stats().hedges, 0u);
@@ -842,15 +875,61 @@ TEST_F(RouterTest, HedgedTracedFetchShowsBothAttemptsInRoot) {
   hedged->Stop();
 }
 
-// --- Router relay: fetch answers cross the router as the owner's bytes ---
+// Scans take the same hedged forward as fetches: every answer matches the
+// oracle whichever attempt wins, and a traced scan that hedged shows both
+// attempts in its root.
+TEST_F(RouterTest, HedgedScansMatchOracleAndTraceTheHedge) {
+  stall_us_ = 2000;  // every primary is still out after the hedge delay
+  RouterOptions hedged_options;
+  hedged_options.health_interval_sec = 0.05;
+  hedged_options.hedge_delay_sec = 0.0001;  // hedge almost every request
+  auto hedged = std::make_unique<Router>(router_->map(), hedged_options);
+  ASSERT_OK(hedged->Start());
+  net::Server front(hedged.get());
+  ASSERT_OK(front.Start());
 
-/// A shard that answers every fetch, bare or in a trace envelope, with
-/// one canned kFetchResp payload, plus the health and session frames a
-/// router needs. It lets a test fix the exact bytes the router receives.
+  net::ClientOptions copts;
+  copts.port = front.port();
+  net::Client client(copts);
+
+  bool saw_hedge_attempt = false;
+  for (int i = 0; i < kModels; ++i) {
+    const std::string model = "m" + std::to_string(i);
+    ExpectScanMatchesOracle(&client, model);
+    ASSERT_OK_AND_ASSIGN(ScanResult ref, oracle_.Scan(ScanReq(model)));
+
+    const uint64_t trace_id = obs::NewTraceId();
+    client.SetTraceContext({trace_id, 0, true});
+    ASSERT_OK_AND_ASSIGN(ScanResult traced, client.Scan(ScanReq(model)));
+    std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
+    client.ClearTraceContext();
+    ExpectSameRows(traced, ref, model);
+
+    ASSERT_TRUE(trace.has_value()) << model;
+    EXPECT_EQ(trace->strategy, "forward") << model;
+    ASSERT_EQ(trace->children.size(), 1u) << model;  // winner's child only
+    for (const obs::TraceEvent& event : trace->events()) {
+      if (event.name.rfind("attempt hedge", 0) == 0) saw_hedge_attempt = true;
+    }
+  }
+  EXPECT_TRUE(saw_hedge_attempt);
+  EXPECT_GT(hedged->Stats().hedges, 0u);
+
+  front.Stop();
+  hedged->Stop();
+}
+
+// --- Router relay: answers cross the router as the owner's bytes ---
+
+/// A shard that answers every fetch with one canned kFetchResp payload
+/// and every scan with one canned kScanResp payload, bare or in a trace
+/// envelope, plus the health and session frames a router needs. It lets
+/// a test fix the exact bytes the router receives.
 class CannedShard : public net::FrameHandler {
  public:
-  explicit CannedShard(std::string fetch_payload)
-      : fetch_payload_(std::move(fetch_payload)) {}
+  explicit CannedShard(std::string fetch_payload, std::string scan_payload = "")
+      : fetch_payload_(std::move(fetch_payload)),
+        scan_payload_(std::move(scan_payload)) {}
 
   net::FrameDisposition HandleFrame(uint64_t conn_token,
                                     const wire::Frame& frame,
@@ -870,11 +949,21 @@ class CannedShard : public net::FrameHandler {
       case wire::MsgType::kFetchReq:
         respond(wire::MsgType::kFetchResp, fetch_payload_);
         return net::FrameDisposition::kOk;
-      case wire::MsgType::kTracedReq:
-        respond(wire::MsgType::kTracedResp,
-                wire::EncodeTracedResponse(wire::MsgType::kFetchResp,
-                                           fetch_payload_, nullptr));
+      case wire::MsgType::kScanReq:
+        respond(wire::MsgType::kScanResp, scan_payload_);
         return net::FrameDisposition::kOk;
+      case wire::MsgType::kTracedReq: {
+        wire::TraceContext ctx;
+        wire::MsgType inner = wire::MsgType::kFetchReq;
+        std::string body;
+        (void)wire::DecodeTracedRequest(frame.payload, &ctx, &inner, &body);
+        const bool scan = inner == wire::MsgType::kScanReq;
+        respond(wire::MsgType::kTracedResp,
+                wire::EncodeTracedResponse(
+                    scan ? wire::MsgType::kScanResp : wire::MsgType::kFetchResp,
+                    scan ? scan_payload_ : fetch_payload_, nullptr));
+        return net::FrameDisposition::kOk;
+      }
       default:
         respond(wire::MsgType::kErrorResp,
                 wire::EncodeError(Status::InvalidArgument("not canned")));
@@ -889,9 +978,10 @@ class CannedShard : public net::FrameHandler {
 
  private:
   const std::string fetch_payload_;
+  const std::string scan_payload_;
 };
 
-/// The router configurations a fetch can take: plain forward, hedged
+/// The router configurations a fetch or scan can take: plain forward, hedged
 /// forward, and router-side self-sampling through the traced path.
 struct RelayConfig {
   const char* name;
@@ -924,6 +1014,67 @@ FetchRequest RelayFetch() {
   return req;
 }
 
+ScanRequest RelayScan() {
+  ScanRequest req;
+  req.project = "proj";
+  req.model = "vis";
+  req.intermediate = "layer";
+  req.predicate_column = "c0";
+  req.lo = -1;
+  req.hi = 1;
+  return req;
+}
+
+Result<std::string> RoutedPayload(net::Client* client,
+                                  const FetchRequest& request) {
+  return client->FetchPayload(request);
+}
+Result<std::string> RoutedPayload(net::Client* client,
+                                  const ScanRequest& request) {
+  return client->ScanPayload(request);
+}
+
+/// Sends `request` through a router in each RelayConfig, in front of the
+/// canned shard on `shard_port`, and expects the shard's `owner` payload
+/// back byte for byte: bare, and inside a client-sampled trace envelope.
+/// `decodes` checks the typed call through the same router.
+template <typename Request>
+void ExpectRelayedByteForByte(
+    uint16_t shard_port, const Request& request, const std::string& owner,
+    const std::function<void(net::Client*, const char*)>& decodes) {
+  for (const RelayConfig& config : kRelayConfigs) {
+    obs::FlightRecorderOptions recorder_options;
+    recorder_options.sample_rate = config.sample_rate;
+    obs::FlightRecorder recorder(recorder_options);
+    std::unique_ptr<Router> router =
+        StartRelayRouter(shard_port, config, &recorder);
+    net::Server front(router.get());
+    ASSERT_OK(front.Start());
+    net::ClientOptions options;
+    options.port = front.port();
+    net::Client client(options);
+
+    ASSERT_OK_AND_ASSIGN(std::string routed, RoutedPayload(&client, request));
+    EXPECT_TRUE(routed == owner) << config.name;
+    decodes(&client, config.name);
+
+    // A client-sampled trace: the router answers in an envelope, and the
+    // payload inside it is still the owner's, byte for byte.
+    const uint64_t trace_id = obs::NewTraceId();
+    client.SetTraceContext({trace_id, 0, true});
+    ASSERT_OK_AND_ASSIGN(std::string traced, RoutedPayload(&client, request));
+    std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
+    client.ClearTraceContext();
+    EXPECT_TRUE(traced == owner) << config.name;
+    ASSERT_TRUE(trace.has_value()) << config.name;
+    EXPECT_EQ(trace->trace_id, trace_id) << config.name;
+    EXPECT_EQ(trace->strategy, "forward") << config.name;
+
+    front.Stop();
+    router->Stop();
+  }
+}
+
 TEST(RouterRelayTest, RoutedFetchReturnsTheOwnerShardsBytes) {
   // VIS-sized: a whole 8 x 8192 intermediate of doubles (~512 KiB), with
   // values a decode + re-encode could silently alter.
@@ -952,39 +1103,49 @@ TEST(RouterRelayTest, RoutedFetchReturnsTheOwnerShardsBytes) {
   ASSERT_OK_AND_ASSIGN(std::string owner, direct.FetchPayload(RelayFetch()));
   ASSERT_TRUE(owner == payload);
 
-  for (const RelayConfig& config : kRelayConfigs) {
-    obs::FlightRecorderOptions recorder_options;
-    recorder_options.sample_rate = config.sample_rate;
-    obs::FlightRecorder recorder(recorder_options);
-    std::unique_ptr<Router> router =
-        StartRelayRouter(shard_server.port(), config, &recorder);
-    net::Server front(router.get());
-    ASSERT_OK(front.Start());
-    net::ClientOptions options;
-    options.port = front.port();
-    net::Client client(options);
+  ExpectRelayedByteForByte(
+      shard_server.port(), RelayFetch(), owner,
+      [&vis](net::Client* client, const char* config) {
+        ASSERT_OK_AND_ASSIGN(FetchResult decoded, client->Fetch(RelayFetch()));
+        EXPECT_EQ(decoded.column_names, vis.column_names) << config;
+      });
+  shard_server.Stop();
+}
 
-    ASSERT_OK_AND_ASSIGN(std::string routed, client.FetchPayload(RelayFetch()));
-    EXPECT_TRUE(routed == owner) << config.name;
-    ASSERT_OK_AND_ASSIGN(FetchResult decoded, client.Fetch(RelayFetch()));
-    EXPECT_EQ(decoded.column_names, vis.column_names) << config.name;
-
-    // A client-sampled trace: the router answers in an envelope, and the
-    // fetch payload inside it is still the owner's, byte for byte.
-    const uint64_t trace_id = obs::NewTraceId();
-    client.SetTraceContext({trace_id, 0, true});
-    ASSERT_OK_AND_ASSIGN(std::string traced,
-                         client.FetchPayload(RelayFetch()));
-    std::optional<obs::QueryTrace> trace = client.TakeLastTrace();
-    client.ClearTraceContext();
-    EXPECT_TRUE(traced == owner) << config.name;
-    ASSERT_TRUE(trace.has_value()) << config.name;
-    EXPECT_EQ(trace->trace_id, trace_id) << config.name;
-    EXPECT_EQ(trace->strategy, "forward") << config.name;
-
-    front.Stop();
-    router->Stop();
+TEST(RouterRelayTest, RoutedScanReturnsTheOwnerShardsBytes) {
+  // A scan answer with values a decode + re-encode could silently alter.
+  ScanResult scan;
+  Rng rng(23);
+  scan.column_names = {"c0", "c1"};
+  for (uint64_t r = 0; r < 4096; ++r) scan.row_ids.push_back(3 * r + 1);
+  for (int c = 0; c < 2; ++c) {
+    std::vector<double> col(scan.row_ids.size());
+    for (double& v : col) v = rng.NextDouble() * 2 - 1;
+    col[0] = -0.0;
+    col[1] = std::nan("0x123");
+    col[2] = std::numeric_limits<double>::denorm_min();
+    scan.columns.push_back(std::move(col));
   }
+  scan.blocks_scanned = 64;
+  scan.blocks_pruned = 7;
+  const std::string payload = wire::EncodeScanResult(scan);
+
+  CannedShard shard("", payload);
+  net::Server shard_server(&shard);
+  ASSERT_OK(shard_server.Start());
+  net::ClientOptions direct_options;
+  direct_options.port = shard_server.port();
+  net::Client direct(direct_options);
+  ASSERT_OK_AND_ASSIGN(std::string owner, direct.ScanPayload(RelayScan()));
+  ASSERT_TRUE(owner == payload);
+
+  ExpectRelayedByteForByte(
+      shard_server.port(), RelayScan(), owner,
+      [&scan](net::Client* client, const char* config) {
+        ASSERT_OK_AND_ASSIGN(ScanResult decoded, client->Scan(RelayScan()));
+        EXPECT_EQ(decoded.row_ids, scan.row_ids) << config;
+        EXPECT_EQ(decoded.blocks_pruned, scan.blocks_pruned) << config;
+      });
   shard_server.Stop();
 }
 
@@ -992,40 +1153,54 @@ TEST(RouterRelayTest, TruncatedShardAnswerBecomesAnErrorFrame) {
   FetchResult result;
   result.column_names = {"pred"};
   result.columns = {{1.0, 2.0, 3.0}};
-  const std::string good = wire::EncodeFetchResult(result);
-  CannedShard shard(good.substr(0, good.size() - 1));
+  const std::string good_fetch = wire::EncodeFetchResult(result);
+  ScanResult scan;
+  scan.row_ids = {4, 8};
+  scan.column_names = {"pred"};
+  scan.columns = {{1.0, 2.0}};
+  const std::string good_scan = wire::EncodeScanResult(scan);
+  CannedShard shard(good_fetch.substr(0, good_fetch.size() - 1),
+                    good_scan.substr(0, good_scan.size() - 1));
   net::Server shard_server(&shard);
   ASSERT_OK(shard_server.Start());
 
+  const std::pair<wire::MsgType, std::string> requests[] = {
+      {wire::MsgType::kFetchReq, wire::EncodeFetchRequest(1, RelayFetch())},
+      {wire::MsgType::kScanReq, wire::EncodeScanRequest(1, RelayScan())},
+  };
   for (const RelayConfig& config : kRelayConfigs) {
     obs::FlightRecorderOptions recorder_options;
     recorder_options.sample_rate = config.sample_rate;
     obs::FlightRecorder recorder(recorder_options);
     std::unique_ptr<Router> router =
         StartRelayRouter(shard_server.port(), config, &recorder);
-    const std::string request = wire::EncodeFetchRequest(1, RelayFetch());
-    wire::Frame bare;
-    bare.type = wire::MsgType::kFetchReq;
-    bare.payload = request;
-    wire::Frame enveloped;
-    enveloped.type = wire::MsgType::kTracedReq;
-    enveloped.payload = wire::EncodeTracedRequest(
-        {obs::NewTraceId(), 0, true}, wire::MsgType::kFetchReq, request);
-    for (const wire::Frame* frame : {&bare, &enveloped}) {
+    std::vector<wire::Frame> frames;
+    for (const auto& [kind, request] : requests) {
+      wire::Frame bare;
+      bare.type = kind;
+      bare.payload = request;
+      frames.push_back(bare);
+      wire::Frame enveloped;
+      enveloped.type = wire::MsgType::kTracedReq;
+      enveloped.payload = wire::EncodeTracedRequest(
+          {obs::NewTraceId(), 0, true}, kind, request);
+      frames.push_back(enveloped);
+    }
+    for (const wire::Frame& frame : frames) {
       // Driven in-process, so the test sees the frame type the router
       // answers with: an error, never the shard's bytes relayed on.
       std::promise<std::pair<wire::MsgType, std::string>> answered;
       ASSERT_EQ(router->HandleFrame(
-                    1, *frame,
+                    1, frame,
                     [&answered](wire::MsgType type, std::string payload) {
                       answered.set_value({type, std::move(payload)});
                     }),
                 net::FrameDisposition::kOk);
       const auto [type, body] = answered.get_future().get();
       ASSERT_EQ(type, wire::MsgType::kErrorResp)
-          << config.name << " " << static_cast<int>(frame->type);
+          << config.name << " frame " << static_cast<int>(frame.type);
       EXPECT_EQ(wire::DecodeError(body).code(), StatusCode::kCorruption)
-          << config.name << " " << static_cast<int>(frame->type);
+          << config.name << " frame " << static_cast<int>(frame.type);
     }
     EXPECT_TRUE(router->ShardUp(0)) << config.name;
     router->Stop();

@@ -7,7 +7,6 @@
 #include "common/random.h"
 #include "compress/codec.h"
 #include "compress/lzss.h"
-#include "compress/rle.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -75,8 +74,7 @@ TEST_P(CodecRoundTripTest, RoundTrips) {
 INSTANTIATE_TEST_SUITE_P(
     AllCodecsAllPatterns, CodecRoundTripTest,
     ::testing::Combine(
-        ::testing::Values(CodecType::kNone, CodecType::kRle,
-                          CodecType::kLzss),
+        ::testing::Values(CodecType::kNone, CodecType::kLzss),
         ::testing::Values("empty", "single", "zeros", "random", "repeating",
                           "low_cardinality", "ascending")),
     [](const auto& info) {
@@ -381,32 +379,13 @@ TEST(LzssDifferentialTest, RandomMutationsOfLargeStreams) {
   }
 }
 
-TEST(RleTest, CompressesRuns) {
-  std::vector<uint8_t> input(100000, 7);
-  RleCodec codec;
-  std::vector<uint8_t> compressed;
-  ASSERT_OK(codec.Compress(input, &compressed));
-  EXPECT_LT(compressed.size(), 1000u);
-}
-
-TEST(RleTest, ZeroRunIsCorruption) {
-  std::vector<uint8_t> stream(8 + 2, 0);
-  const uint64_t len = 5;
-  std::memcpy(stream.data(), &len, 8);
-  // run byte = 0 -> invalid.
-  RleCodec codec;
-  std::vector<uint8_t> output;
-  EXPECT_EQ(codec.Decompress(stream, &output).code(),
-            StatusCode::kCorruption);
-}
-
 TEST(CodecRegistryTest, UnknownTagRejected) {
   EXPECT_FALSE(GetCodec(static_cast<CodecType>(250)).ok());
 }
 
 TEST(CodecRegistryTest, ReservedTagsRejected) {
-  // Tags 2-3 named the deleted delta and dictionary codecs.
-  for (int tag = 2; tag <= 3; ++tag) {
+  // Tags 1-3 named the deleted rle, delta and dictionary codecs.
+  for (int tag = 1; tag <= 3; ++tag) {
     EXPECT_EQ(GetCodec(static_cast<CodecType>(tag)).status().code(),
               StatusCode::kInvalidArgument)
         << "tag " << tag;
@@ -416,7 +395,6 @@ TEST(CodecRegistryTest, ReservedTagsRejected) {
 TEST(CodecRegistryTest, NamesAreStable) {
   EXPECT_STREQ(CodecTypeName(CodecType::kLzss), "lzss");
   EXPECT_STREQ(CodecTypeName(CodecType::kNone), "none");
-  EXPECT_STREQ(CodecTypeName(CodecType::kRle), "rle");
 }
 
 }  // namespace

@@ -303,6 +303,7 @@ TEST(WireTest, ResultEncodingsMatchGoldenBytes) {
   ExpectSameBits(scan_out.columns, scan.columns);
   EXPECT_EQ(scan_out.blocks_scanned, 5u);
   EXPECT_EQ(scan_out.blocks_pruned, 0x0102030405060708ull);
+  EXPECT_OK(wire::CheckScanResult(scan_golden));
   EXPECT_EQ(wire::kProtocolVersion, 1);
 }
 
@@ -462,7 +463,8 @@ TEST(WireTest, FuzzedPayloadDecodersNeverCrash) {
     EXPECT_EQ(wire::CheckFetchResult(payload).ok(),
               wire::DecodeFetchResult(payload, &fres).ok());
     (void)wire::DecodeScanRequest(payload, &session, &sreq);
-    (void)wire::DecodeScanResult(payload, &sres);
+    EXPECT_EQ(wire::CheckScanResult(payload).ok(),
+              wire::DecodeScanResult(payload, &sres).ok());
     (void)wire::DecodeStats(payload, &stats);
     (void)wire::DecodeError(payload);
   }
@@ -472,6 +474,12 @@ TEST(WireTest, FuzzedPayloadDecodersNeverCrash) {
   result.columns = {{1, 2}, {3, 4}};
   result.row_ids = {0, 1};
   const std::string good = wire::EncodeFetchResult(result);
+  ScanResult scan;
+  scan.row_ids = {3, 9};
+  scan.column_names = {"a", "b"};
+  scan.columns = {{1, 2}, {3, 4}};
+  scan.blocks_scanned = 2;
+  const std::string good_scan = wire::EncodeScanResult(scan);
   for (size_t len = 0; len < good.size(); ++len) {
     FetchResult out;
     EXPECT_FALSE(
@@ -480,7 +488,7 @@ TEST(WireTest, FuzzedPayloadDecodersNeverCrash) {
     EXPECT_FALSE(wire::CheckFetchResult(good.substr(0, len)).ok())
         << "truncation at " << len;
   }
-  // Every single-byte mutation of it: counts and lengths that grow,
+  // Every single-byte mutation of each: counts and lengths that grow,
   // shrink or overrun must get the same verdict from the layout walk a
   // router relays by as from the decoder a client uses.
   for (size_t pos = 0; pos < good.size(); ++pos) {
@@ -491,6 +499,16 @@ TEST(WireTest, FuzzedPayloadDecodersNeverCrash) {
       EXPECT_EQ(wire::CheckFetchResult(mutated).ok(),
                 wire::DecodeFetchResult(mutated, &out).ok())
           << "byte " << pos << " ^ " << static_cast<int>(mask);
+    }
+  }
+  for (size_t pos = 0; pos < good_scan.size(); ++pos) {
+    for (const uint8_t mask : {0x01, 0x02, 0x80, 0xFF}) {
+      std::string mutated = good_scan;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ mask);
+      ScanResult out;
+      EXPECT_EQ(wire::CheckScanResult(mutated).ok(),
+                wire::DecodeScanResult(mutated, &out).ok())
+          << "scan byte " << pos << " ^ " << static_cast<int>(mask);
     }
   }
 }
@@ -620,6 +638,12 @@ TEST(WireTest, NewPayloadsRejectTruncationAtEveryByte) {
   fetch.column_names = {"pred", "score"};
   fetch.columns = {{0.5, -1.25, 3.0}, {}};
   fetch.row_ids = {4, 8, 15};
+  ScanResult scan;
+  scan.row_ids = {4, 8, 15};
+  scan.column_names = {"pred", "score"};
+  scan.columns = {{0.5, -1.25, 3.0}, {}};
+  scan.blocks_scanned = 3;
+  scan.blocks_pruned = 1;
   const std::string encodings[] = {
       wire::EncodeShardMap(SampleShardMap()),
       wire::EncodeHealth(wire::HealthInfo{1, 11, 4, 7}),
@@ -627,10 +651,12 @@ TEST(WireTest, NewPayloadsRejectTruncationAtEveryByte) {
       wire::EncodeMetricsText("mistique_fetch_total 3\n"),
       wire::EncodeTraceList({SampleTrace()}),
       wire::EncodeFetchResult(fetch),
+      wire::EncodeScanResult(scan),
   };
-  const char* names[] = {"shardmap", "health",     "catalog",
-                         "metrics",  "trace",      "fetch-check"};
+  const char* names[] = {"shardmap", "health",      "catalog",   "metrics",
+                         "trace",    "fetch-check", "scan-check"};
   ASSERT_OK(wire::CheckFetchResult(encodings[5]));
+  ASSERT_OK(wire::CheckScanResult(encodings[6]));
   for (size_t which = 0; which < std::size(encodings); ++which) {
     const std::string& good = encodings[which];
     ASSERT_FALSE(good.empty()) << names[which];
@@ -667,6 +693,12 @@ TEST(WireTest, NewPayloadsRejectTruncationAtEveryByte) {
           st = wire::CheckFetchResult(prefix);
           FetchResult out;
           EXPECT_EQ(st.ok(), wire::DecodeFetchResult(prefix, &out).ok());
+          break;
+        }
+        case 6: {
+          st = wire::CheckScanResult(prefix);
+          ScanResult out;
+          EXPECT_EQ(st.ok(), wire::DecodeScanResult(prefix, &out).ok());
           break;
         }
       }

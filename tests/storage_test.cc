@@ -169,8 +169,7 @@ TEST_P(PartitionSerdeTest, RoundTripsThroughEveryCodec) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, PartitionSerdeTest,
-                         ::testing::Values(CodecType::kNone, CodecType::kRle,
-                                           CodecType::kLzss),
+                         ::testing::Values(CodecType::kNone, CodecType::kLzss),
                          [](const auto& info) {
                            return CodecTypeName(info.param);
                          });
