@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 
 #include "common/bytes.h"
 
@@ -74,9 +76,25 @@ Status LzssCodec::Compress(const std::vector<uint8_t>& input,
   const size_t n = input.size();
 
   // head[h] = most recent position with hash h; prev[i] = previous position
-  // in the same chain. Positions offset by 1 so 0 means "empty".
-  std::vector<uint32_t> head(kHashSize, 0);
-  std::vector<uint32_t> prev(n, 0);
+  // in the same chain. Entries hold position + 1 + base, and `at` maps
+  // anything at or below this call's base to 0, "empty". So the 512 KB
+  // head table is kept per thread and zeroed only when the offsets would
+  // wrap, not on every call: a partition frame is 16 KB, and zeroing the
+  // table cost more than compressing one. prev[i] is written before it is
+  // read, so it needs no zeroing either.
+  thread_local std::vector<uint32_t> head;
+  thread_local uint64_t next_base = 0;
+  if (head.empty() ||
+      next_base + n + 1 > std::numeric_limits<uint32_t>::max()) {
+    head.assign(kHashSize, 0);
+    next_base = 0;
+  }
+  const uint32_t base = static_cast<uint32_t>(next_base);
+  next_base += n + 1;
+  const auto at = [base](uint32_t v) -> uint32_t {
+    return v > base ? v - base : 0;
+  };
+  std::unique_ptr<uint32_t[]> prev(new uint32_t[n]);
 
   TokenWriter tw(output);
   size_t i = 0;
@@ -89,7 +107,7 @@ Status LzssCodec::Compress(const std::vector<uint8_t>& input,
     if (i + sizeof(uint32_t) <= n) {
       const size_t limit = std::min(n - i, kMaxMatch);
       const uint32_t h = HashAt(data + i);
-      uint32_t cand = head[h];
+      uint32_t cand = at(head[h]);
       int steps = 0;
       while (cand != 0 && steps++ < kMaxChainSteps) {
         const size_t c = cand - 1;
@@ -98,7 +116,7 @@ Status LzssCodec::Compress(const std::vector<uint8_t>& input,
         // from re-scanning long matches per candidate.
         if (best_len > 0 &&
             (best_len >= limit || data[c + best_len] != data[i + best_len])) {
-          cand = prev[c];
+          cand = at(prev[c]);
           continue;
         }
         size_t len = 0;
@@ -108,7 +126,7 @@ Status LzssCodec::Compress(const std::vector<uint8_t>& input,
           best_pos = c;
           if (len >= limit) break;
         }
-        cand = prev[c];
+        cand = at(prev[c]);
       }
     }
 
@@ -124,7 +142,7 @@ Status LzssCodec::Compress(const std::vector<uint8_t>& input,
         if (i + sizeof(uint32_t) <= n) {
           const uint32_t h = HashAt(data + i);
           prev[i] = head[h];
-          head[h] = static_cast<uint32_t>(i + 1);
+          head[h] = static_cast<uint32_t>(base + i + 1);
         }
         i += stride;
       }
@@ -137,7 +155,7 @@ Status LzssCodec::Compress(const std::vector<uint8_t>& input,
         if (i + sizeof(uint32_t) <= n) {
           const uint32_t h = HashAt(data + i);
           prev[i] = head[h];
-          head[h] = static_cast<uint32_t>(i + 1);
+          head[h] = static_cast<uint32_t>(base + i + 1);
         }
         tw.Literal(data[i]);
         i++;

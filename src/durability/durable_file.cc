@@ -123,6 +123,34 @@ Result<std::vector<uint8_t>> ReadEnvelopeFile(const std::string& path) {
   return payload;
 }
 
+Result<std::vector<uint8_t>> ReadEnvelopeRange(const std::string& path,
+                                               uint64_t offset,
+                                               uint64_t length) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ErrnoError("cannot open", path);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
+
+  std::vector<uint8_t> bytes(length);
+  const uint64_t start = kEnvelopeHeaderSize + offset;
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::pread(fd, bytes.data() + got, bytes.size() - got,
+                              static_cast<off_t>(start + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoError("read from", path);
+    }
+    if (n == 0) {
+      return Status::Corruption("envelope payload truncated in " + path);
+    }
+    got += static_cast<size_t>(n);
+  }
+  return bytes;
+}
+
 Result<uint64_t> ProbeEnvelopeFile(const std::string& path) {
   std::error_code ec;
   const uint64_t file_size = std::filesystem::file_size(path, ec);

@@ -34,6 +34,14 @@ extern const char kQuarantineSuffix[];
 ///  - kDataLoss     payload CRC mismatch
 Result<std::vector<uint8_t>> ReadEnvelopeFile(const std::string& path);
 
+/// Reads `length` payload bytes starting `offset` bytes into the payload of
+/// an envelope file, with one pread and no CRC check: the caller verifies
+/// what it reads (a partition frame carries its own CRC). kCorruption if
+/// the file ends before the range does.
+Result<std::vector<uint8_t>> ReadEnvelopeRange(const std::string& path,
+                                               uint64_t offset,
+                                               uint64_t length);
+
 /// Validates only the header of an envelope file against its size on disk
 /// (no payload read, no CRC). Returns the payload length. Used by
 /// DiskStore::Open to cheaply skip stray/truncated files.

@@ -66,8 +66,7 @@ Result<ColumnChunk> KBitQuantizer::Quantize(
   for (size_t i = 0; i < values.size(); ++i) bins[i] = BinOf(values[i]);
   if (k_ == 8) return ColumnChunk::FromBins(bins);
   // Word-aligned so the src/scan/ kernels can evaluate predicates on the
-  // packed words directly; kPacked (bit-contiguous) stays readable for
-  // chunks sealed before this layout existed.
+  // packed words directly.
   return ColumnChunk::FromPackedWords(bins, k_);
 }
 

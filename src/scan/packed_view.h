@@ -19,9 +19,6 @@ namespace scan {
 ///   kUInt8    8-bit fields, 8 per word (the byte array read as words)
 ///   kBit      1-bit fields, 64 per word (THRESHOLD_QT bitmaps)
 ///
-/// kPacked (the bit-contiguous legacy layout) does NOT qualify: its fields
-/// straddle word boundaries, so those chunks keep the decode path.
-///
 /// The view borrows the chunk's bytes; the chunk (and whatever pins it in
 /// the buffer pool) must outlive the view.
 struct PackedView {

@@ -9,8 +9,8 @@ namespace mistique {
 
 namespace {
 
-const char* kDTypeNames[] = {"float64", "float32", "float16", "uint8",
-                             "bit",     "int64",   "packed",  "packedw"};
+const char* kDTypeNames[] = {"float64", "float32",  "float16", "uint8",
+                             "bit",     "int64",    "unknown", "packedw"};
 
 }  // namespace
 
@@ -64,22 +64,6 @@ ColumnChunk ColumnChunk::FromBits(const std::vector<bool>& bits) {
     if (bits[i]) data[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
   }
   return ColumnChunk(DType::kBit, bits.size(), std::move(data));
-}
-
-ColumnChunk ColumnChunk::FromPackedBins(const std::vector<uint8_t>& bins,
-                                        int bits) {
-  if (bits >= 8) return FromBins(bins);
-  if (bits < 1) bits = 1;
-  std::vector<uint8_t> data((bins.size() * bits + 7) / 8, 0);
-  size_t bitpos = 0;
-  for (uint8_t bin : bins) {
-    for (int b = 0; b < bits; ++b) {
-      if ((bin >> b) & 1) data[bitpos / 8] |= static_cast<uint8_t>(1u << (bitpos % 8));
-      bitpos++;
-    }
-  }
-  return ColumnChunk(DType::kPacked, bins.size(), std::move(data),
-                     static_cast<uint8_t>(bits));
 }
 
 ColumnChunk ColumnChunk::FromPackedWords(const std::vector<uint8_t>& bins,
@@ -144,26 +128,6 @@ Result<std::vector<double>> ColumnChunk::DecodeAsDouble(
       const auto* in = reinterpret_cast<const int64_t*>(data_.data());
       for (uint64_t i = 0; i < num_values_; ++i) {
         out[i] = static_cast<double>(in[i]);
-      }
-      break;
-    }
-    case DType::kPacked: {
-      if (recon == nullptr || recon->centers.empty()) {
-        return Status::InvalidArgument(
-            "packed chunk decode requires a reconstruction table");
-      }
-      size_t bitpos = 0;
-      for (uint64_t i = 0; i < num_values_; ++i) {
-        uint32_t bin = 0;
-        for (int b = 0; b < bit_width_; ++b) {
-          bin |= static_cast<uint32_t>((data_[bitpos / 8] >> (bitpos % 8)) & 1)
-                 << b;
-          bitpos++;
-        }
-        if (bin >= recon->centers.size()) {
-          return Status::InvalidArgument("packed bin index out of range");
-        }
-        out[i] = recon->centers[bin];
       }
       break;
     }

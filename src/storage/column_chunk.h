@@ -46,11 +46,6 @@ class ColumnChunk {
   /// Packs booleans into a bitmap (THRESHOLD_QT output).
   static ColumnChunk FromBits(const std::vector<bool>& bits);
 
-  /// Packs bin indices at `bits` bits each (KBIT_QT with k<8). Each index
-  /// must fit in `bits`; 1 <= bits <= 8.
-  static ColumnChunk FromPackedBins(const std::vector<uint8_t>& bins,
-                                    int bits);
-
   /// Packs bin indices into the word-aligned kPackedW layout: floor(64/bits)
   /// fields per little-endian u64 word, LSB-first within the word, spare
   /// high bits zero. Fields never straddle a word, so scan kernels can load
@@ -60,7 +55,7 @@ class ColumnChunk {
 
   DType dtype() const { return dtype_; }
   uint64_t num_values() const { return num_values_; }
-  /// Bits per stored value (meaningful for kPacked; equals DTypeBits
+  /// Bits per stored value (meaningful for kPackedW; equals DTypeBits
   /// otherwise).
   uint8_t bit_width() const { return bit_width_; }
   const std::vector<uint8_t>& data() const { return data_; }

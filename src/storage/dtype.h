@@ -15,8 +15,8 @@ enum class DType : uint8_t {
   kUInt8 = 3,    ///< quantile bin index (KBIT_QT, k<=8); needs a recon table
   kBit = 4,      ///< packed bitmap (THRESHOLD_QT)
   kInt64 = 5,    ///< integer ids (row_id, parcelid, categorical codes)
-  kPacked = 6,   ///< k-bit packed bin indices (KBIT_QT with k<8); the bit
-                 ///< width travels in ColumnChunk::bit_width()
+  // 6 is reserved: the deleted bit-contiguous packed layout. Partitions
+  // that carry it fail to decode.
   kPackedW = 7,  ///< word-aligned k-bit bin indices: floor(64/k) fields per
                  ///< little-endian u64 word, LSB-first, spare high bits
                  ///< zero. Scannable in place by src/scan/ kernels.
@@ -40,8 +40,6 @@ inline size_t DTypeBits(DType t) {
       return 1;
     case DType::kInt64:
       return 64;
-    case DType::kPacked:
-      return 8;  // Upper bound; actual width is per-chunk (bit_width()).
     case DType::kPackedW:
       return 8;  // Upper bound; actual width is per-chunk (bit_width()).
   }

@@ -411,5 +411,93 @@ TEST_F(MvccEngineTest, DeleteThenVacuumWaitsForSnapshotReaders) {
   ExpectByteIdentical(m2, 2);
 }
 
+// Vacuum renumbers the frames of a partition it rewrites. Model "a<k>"
+// owns half of a partition's columns and shares the other half, by exact
+// dedup, with model "b<k>". Readers loop over b<k> behind a 1-byte pool,
+// so every chunk read loads a frame, while a<k> is deleted and vacuumed:
+// no read may pair a chunk with a frame of the old layout.
+TEST_F(MvccEngineTest, VacuumRewriteRenumbersFramesUnderReaders) {
+  MistiqueOptions opts = Options();
+  opts.store.memory_budget_bytes = 1;
+  opts.row_block_size = 512;
+  Mistique mq;
+  ASSERT_OK(mq.Open(opts));
+
+  constexpr uint64_t kRows = 1024;  // Two 4 KB chunks per column.
+  constexpr int kShared = 4;
+  const auto shared_value = [](int round, int c, uint64_t r) {
+    return round * 1e6 + c * 1e4 + static_cast<double>(r) * 0.5;
+  };
+  for (int round = 0; round < 4; ++round) {
+    // a: u0 s0 u1 s1 ... (8 KB per column; four 16 KB frames); b: s0..s3.
+    ImportIntermediate a;
+    a.name = "pred";
+    a.num_rows = kRows;
+    ImportIntermediate b = a;
+    for (int c = 0; c < kShared; ++c) {
+      std::vector<double> unique(kRows), shared(kRows);
+      for (uint64_t r = 0; r < kRows; ++r) {
+        unique[r] = -(round * 1e6 + c * 1e4 + static_cast<double>(r));
+        shared[r] = shared_value(round, c, r);
+      }
+      a.column_names.push_back("u" + std::to_string(c));
+      a.columns.push_back(unique);
+      a.column_names.push_back("s" + std::to_string(c));
+      a.columns.push_back(shared);
+      b.column_names.push_back("s" + std::to_string(c));
+      b.columns.push_back(shared);
+    }
+    const std::string a_name = "a" + std::to_string(round);
+    const std::string b_name = "b" + std::to_string(round);
+    ASSERT_OK(mq.ImportModel("proj", a_name, {a}).status());
+    ASSERT_OK(mq.ImportModel("proj", b_name, {b}).status());
+
+    FetchRequest req;
+    req.project = "proj";
+    req.model = b_name;
+    req.intermediate = "pred";
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::atomic<uint64_t> reads{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 2; ++t) {
+      readers.emplace_back([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+          Result<FetchResult> r = mq.Fetch(req);
+          bool match = r.ok() && r->columns.size() == kShared;
+          for (int c = 0; match && c < kShared; ++c) {
+            match = r->columns[c].size() == kRows;
+            for (uint64_t row = 0; match && row < kRows; ++row) {
+              match = r->columns[c][row] == shared_value(round, c, row);
+            }
+          }
+          if (!match) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+            ADD_FAILURE() << (r.ok() ? std::string("wrong values")
+                                     : r.status().ToString());
+            return;
+          }
+          reads.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    while (reads.load(std::memory_order_relaxed) < 4 &&
+           failures.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
+    ASSERT_OK(mq.DeleteModel("proj", a_name));
+    ASSERT_OK_AND_ASSIGN(uint64_t reclaimed, mq.Vacuum());
+    EXPECT_GT(reclaimed, 0u);
+    const uint64_t after_vacuum = reads.load(std::memory_order_relaxed);
+    while (reads.load(std::memory_order_relaxed) < after_vacuum + 4 &&
+           failures.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+    for (std::thread& t : readers) t.join();
+    EXPECT_EQ(failures.load(), 0) << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace mistique

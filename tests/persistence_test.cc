@@ -88,15 +88,19 @@ TEST(MetadataSerdeTest, CorruptCatalogRejected) {
 
 // ----------------------------------------- Partition directory scan
 
-TEST(PartitionDirectoryTest, ReadChunkIdsWithoutDecompress) {
+TEST(PartitionDirectoryTest, ReadLayoutWithoutDecompress) {
   Partition p(9);
   ASSERT_OK(p.Add(100, ColumnChunk::FromDoubles({1, 2, 3})));
   ASSERT_OK(p.Add(200, ColumnChunk::FromBins({1, 2})));
   ASSERT_OK_AND_ASSIGN(const Codec* codec, GetCodec(CodecType::kLzss));
   ASSERT_OK_AND_ASSIGN(std::vector<uint8_t> bytes, p.Serialize(*codec));
-  ASSERT_OK_AND_ASSIGN(std::vector<ChunkId> ids,
-                       Partition::ReadChunkIds(bytes));
-  EXPECT_EQ(ids, (std::vector<ChunkId>{100, 200}));
+  // A blob that fails to decode does not stop the layout parse.
+  ASSERT_OK_AND_ASSIGN(PartitionLayout layout, Partition::ReadLayout(bytes));
+  bytes.back() ^= 0xff;
+  ASSERT_OK_AND_ASSIGN(PartitionLayout rotten, Partition::ReadLayout(bytes));
+  EXPECT_EQ(layout.id, 9u);
+  EXPECT_EQ(rotten.chunk_ids, (std::vector<ChunkId>{100, 200}));
+  EXPECT_EQ(rotten.chunk_frames, (std::vector<uint32_t>{0, 0}));
 }
 
 // ------------------------------------------------- End-to-end reopen

@@ -207,8 +207,8 @@ TEST_F(ScanTest, NeuronActivationScanOnDnn) {
 // ---------------------------------------------------------------------
 
 TEST(ScanKernelsTest, PackedViewQualification) {
-  // kPackedW (any k<8), kUInt8, and kBit qualify; the legacy
-  // bit-contiguous kPacked and float chunks keep the decode path.
+  // kPackedW (any k<8), kUInt8, and kBit qualify; float chunks keep the
+  // decode path.
   const std::vector<uint8_t> bins = {0, 1, 2, 3, 3, 2, 1, 0, 1};
   for (int bits = 1; bits <= 7; ++bits) {
     std::vector<uint8_t> fit(bins.size());
@@ -218,9 +218,6 @@ TEST(ScanKernelsTest, PackedViewQualification) {
     const ColumnChunk wchunk = ColumnChunk::FromPackedWords(fit, bits);
     EXPECT_EQ(wchunk.dtype(), DType::kPackedW);
     EXPECT_TRUE(scan::PackedView::Qualifies(wchunk)) << bits;
-    const ColumnChunk legacy = ColumnChunk::FromPackedBins(fit, bits);
-    EXPECT_FALSE(scan::PackedView::Qualifies(legacy)) << bits;
-    // Both layouts decode identically.
     auto view = scan::PackedView::Of(wchunk);
     ASSERT_TRUE(view.has_value());
     EXPECT_EQ(view->bits, static_cast<unsigned>(bits));
