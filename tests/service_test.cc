@@ -496,5 +496,70 @@ TEST(ServiceStoreTest, SingleFlightConcurrentPartitionLoads) {
   EXPECT_GT(store.disk_read_bytes(), 0u);
 }
 
+/// Raw DataStore: concurrent batched reads that miss on overlapping runs
+/// of frames load each frame once per miss, joining each other's loads,
+/// and all get valid chunks.
+TEST(ServiceStoreTest, SingleFlightConcurrentBatchedLoads) {
+  TempDir dir("single_flight_batch");
+  DataStoreOptions options;
+  options.directory = dir.path() + "/store";
+  options.memory_budget_bytes = 1;  // Only a batch's own refs pin frames.
+  options.partition_target_bytes = 1 << 20;
+  DataStore store;
+  ASSERT_OK(store.Open(options));
+
+  // Two partitions of eight 8 KB chunks: four frames of two chunks each.
+  std::vector<ChunkId> chunks;
+  for (int p = 0; p < 2; ++p) {
+    const PartitionId partition = store.CreatePartition();
+    for (int i = 0; i < 8; ++i) {
+      const double base = 10000.0 * (p * 8 + i);
+      std::vector<double> values(1024);
+      for (size_t j = 0; j < values.size(); ++j) values[j] = base + j;
+      ASSERT_OK_AND_ASSIGN(ChunkId id,
+                           store.AddChunk(partition,
+                                          ColumnChunk::FromDoubles(values)));
+      chunks.push_back(id);
+    }
+    ASSERT_OK(store.SealPartition(partition));
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kIters = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        // Seven chunks from a rotating start: runs of frames in one or
+        // both partitions, overlapping the other readers' batches.
+        std::vector<size_t> which;
+        std::vector<ChunkId> ids;
+        for (size_t k = 0; k < 7; ++k) {
+          which.push_back((static_cast<size_t>(3 * t + i) + k) %
+                          chunks.size());
+          ids.push_back(chunks[which.back()]);
+        }
+        std::vector<ChunkRef> refs;
+        if (!store.GetChunks(ids, &refs).ok()) {
+          failures++;
+          continue;
+        }
+        for (size_t k = 0; k < ids.size(); ++k) {
+          Result<std::vector<double>> decoded =
+              refs[k].chunk->DecodeAsDouble(nullptr);
+          if (!decoded.ok() || decoded->size() != 1024 ||
+              (*decoded)[7] != 10000.0 * static_cast<double>(which[k]) + 7) {
+            failures++;
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(store.disk_read_bytes(), 0u);
+}
+
 }  // namespace
 }  // namespace mistique
